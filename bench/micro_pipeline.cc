@@ -317,22 +317,22 @@ BM_ParseIndexV2(benchmark::State &state)
 BENCHMARK(BM_ParseIndexV2);
 
 void
-BM_MmapOpenV5(benchmark::State &state)
+BM_MmapOpenV6(benchmark::State &state)
 {
-    // The zero-copy warm path: map a persisted FWIX v5 entry, verify
+    // The zero-copy warm path: map a persisted FWIX v6 entry, verify
     // the payload checksum and open the index view over the mapped
     // arenas — no posting/hash vectors materialized. Compare against
     // BM_ParseIndexV2: the checksum pass is common to both, so the gap
     // is what the copying parser spends streaming arenas into vectors.
     if (!sim::open_view_supported()) {
-        state.SkipWithError("v5 view unsupported on this host");
+        state.SkipWithError("v6 view unsupported on this host");
         return;
     }
     sim::ExecutableIndex index = wget_index();
     index.finalize();
     const ByteBuffer blob = sim::serialize_index(index);
     const std::string path =
-        (std::filesystem::temp_directory_path() / "firmup-bench-v5.fwix")
+        (std::filesystem::temp_directory_path() / "firmup-bench-v6.fwix")
             .string();
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -357,7 +357,7 @@ BM_MmapOpenV5(benchmark::State &state)
     std::error_code cleanup_ec;
     std::filesystem::remove(path, cleanup_ec);
 }
-BENCHMARK(BM_MmapOpenV5);
+BENCHMARK(BM_MmapOpenV6);
 
 void
 BM_GameSearch(benchmark::State &state)
@@ -424,54 +424,6 @@ BENCHMARK(BM_BatchHunt)
     ->Arg(static_cast<int>(
         std::max(2u, std::thread::hardware_concurrency())))
     ->Unit(benchmark::kMillisecond);
-
-void
-BM_MinHashSketch(benchmark::State &state)
-{
-    // Per-procedure sketch build cost over a whole executable — the
-    // price finalize() pays (cold path only; FWIX v4 ships sketches).
-    const sim::ExecutableIndex &index = wget_index();
-    std::uint64_t checksum = 0;
-    for (auto _ : state) {
-        for (const sim::ProcEntry &proc : index.procs) {
-            const strand::MinHashSketch sketch = strand::minhash_sketch(
-                proc.repr.hash_data(), proc.repr.hash_count());
-            checksum += sketch[0];
-        }
-    }
-    benchmark::DoNotOptimize(checksum);
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(index.procs.size()));
-}
-BENCHMARK(BM_MinHashSketch);
-
-void
-BM_LshProbe(benchmark::State &state)
-{
-    // One LSH candidate probe (band lookups + rare-hash floor + exact
-    // rescoring of survivors) per query procedure, against the vendor
-    // build — the per-call unit the game's GetBestMatch pays in Lsh
-    // mode. Compare against BM_BestMatch-style shared_candidates cost.
-    sim::ExecutableIndex q = wget_index();
-    sim::ExecutableIndex t = vendor_index();
-    q.finalize();
-    t.finalize();
-    t.build_lsh(16, 4);
-    std::uint64_t checksum = 0;
-    for (auto _ : state) {
-        for (const sim::ProcEntry &proc : q.procs) {
-            const std::vector<sim::Candidate> cands =
-                sim::lsh_candidates(t, proc.repr);
-            checksum += cands.size();
-        }
-    }
-    benchmark::DoNotOptimize(checksum);
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(q.procs.size()));
-}
-BENCHMARK(BM_LshProbe);
 
 }  // namespace
 

@@ -103,15 +103,29 @@ query_recipe_key(const lang::PackageSource &source,
 std::uint64_t
 content_key(const loader::Executable &exe)
 {
-    // content_hash64 over the text bytes, not fnv1a64: the key is
-    // recomputed for every target on every scan, so on a fully-resident
-    // pass this hash IS the index stage — see BM_* and the
+    // Every field lift_executable reads goes into the key: the same text
+    // bytes loaded at another address (or with another entry point or
+    // symbol table) lift to different procedures, so two such copies
+    // must never share a cached index. `arch`, `stripped`, the data
+    // bytes and Symbol::exported are not read by the lifter.
+    std::uint64_t key = fnv1a64(exe.name);
+    key = hash_combine(key, static_cast<std::uint64_t>(exe.declared_arch));
+    key = hash_combine(key, exe.entry);
+    key = hash_combine(key, exe.text_addr);
+    key = hash_combine(key, exe.data_addr);
+    key = hash_combine(key, exe.data.size());
+    key = hash_combine(key, exe.symbols.size());
+    for (const loader::Symbol &sym : exe.symbols) {
+        key = hash_combine(key, sym.addr);
+        key = hash_combine(key, fnv1a64(sym.name));
+    }
+    // content_hash64 over the text bytes, not fnv1a64: on a
+    // fully-resident pass keying is most of the index stage — see the
     // resident_cache bench entry.
     return hash_combine(
-        fnv1a64(exe.name),
-        content_hash64(std::string_view(
-            reinterpret_cast<const char *>(exe.text.data()),
-            exe.text.size())));
+        key, content_hash64(std::string_view(
+                 reinterpret_cast<const char *>(exe.text.data()),
+                 exe.text.size())));
 }
 
 namespace {
@@ -293,8 +307,6 @@ Driver::build_query_impl(const std::string &package,
             ++health_.query_cache_hits;
             c_query_cache_hits.add();
             query.index = std::move(loaded).take();
-            prepare_retrieval(query.index);
-            sync_retrieval_health();
             query.qv = query.index.find_by_name(procedure);
             FIRMUP_ASSERT(query.qv >= 0,
                           "query procedure missing: " + procedure);
@@ -313,8 +325,6 @@ Driver::build_query_impl(const std::string &package,
 
     query.index = sim::index_executable(lifted.value(), canon_options());
     sync_memo_health();
-    prepare_retrieval(query.index);
-    sync_retrieval_health();
     query.qv = query.index.find_by_name(procedure);
     FIRMUP_ASSERT(query.qv >= 0,
                   "query procedure missing: " + procedure);
@@ -372,26 +382,7 @@ Driver::sync_retrieval_health()
         now.probes_exact - retrieval_seen_.probes_exact;
     health_.retrieval_candidates_exact +=
         now.candidates_exact - retrieval_seen_.candidates_exact;
-    health_.retrieval_probes_lsh +=
-        now.probes_lsh - retrieval_seen_.probes_lsh;
-    health_.retrieval_candidates_lsh +=
-        now.candidates_lsh - retrieval_seen_.candidates_lsh;
-    health_.retrieval_lsh_exact_work +=
-        now.lsh_exact_work - retrieval_seen_.lsh_exact_work;
-    health_.sketch_seconds +=
-        static_cast<double>(now.sketch_micros -
-                            retrieval_seen_.sketch_micros) *
-        1e-6;
     retrieval_seen_ = now;
-}
-
-void
-Driver::prepare_retrieval(sim::ExecutableIndex &index)
-{
-    if (options_.retrieval != sim::RetrievalMode::Lsh) {
-        return;
-    }
-    index.build_lsh(options_.lsh_bands, options_.lsh_rows);
 }
 
 sim::IndexCacheStore *
@@ -417,9 +408,8 @@ Driver::note_healthy(std::uint64_t key)
 }
 
 const lifter::LiftedExecutable *
-Driver::lift_cached(const loader::Executable &exe)
+Driver::lift_cached(const loader::Executable &exe, std::uint64_t key)
 {
-    const std::uint64_t key = content_key(exe);
     auto it = lift_cache_.find(key);
     if (it != lift_cache_.end()) {
         return &it->second;
@@ -445,16 +435,14 @@ Driver::lift_cached(const loader::Executable &exe)
 const sim::ExecutableIndex *
 Driver::index_target(const loader::Executable &exe)
 {
-    const std::uint64_t key = content_key(exe);
+    return index_target(exe, content_key(exe));
+}
+
+const sim::ExecutableIndex *
+Driver::index_target(const loader::Executable &exe, std::uint64_t key)
+{
     auto it = index_cache_.find(key);
     if (it != index_cache_.end()) {
-        // Entries cached by index_many may predate the LSH table (its
-        // workers build indexes, the merge loop prepares them); build_lsh
-        // is a no-op when the table already has the requested shape.
-        // Every pointer in this cache originates from a non-const
-        // make_shared, so the cast-back is defined.
-        prepare_retrieval(
-            *std::const_pointer_cast<sim::ExecutableIndex>(it->second));
         return it->second.get();
     }
     if (quarantined_.contains(key)) {
@@ -469,9 +457,6 @@ Driver::index_target(const loader::Executable &exe)
             ++health_.resident_hits;
             c_resident_hits.add();
             note_healthy(key);
-            prepare_retrieval(
-                *std::const_pointer_cast<sim::ExecutableIndex>(hot));
-            sync_retrieval_health();
             return index_cache_.emplace(key, std::move(hot))
                 .first->second.get();
         }
@@ -494,10 +479,8 @@ Driver::index_target(const loader::Executable &exe)
             ++health_.cache_hits;
             c_cache_hits.add();
             note_healthy(key);
-            auto warm = std::make_shared<sim::ExecutableIndex>(
+            auto warm = std::make_shared<const sim::ExecutableIndex>(
                 std::move(loaded).take());
-            prepare_retrieval(*warm);
-            sync_retrieval_health();
             health_.resident_evictions +=
                 resident_publish(options_.resident_cache, key, warm);
             return index_cache_.emplace(key, std::move(warm))
@@ -506,16 +489,14 @@ Driver::index_target(const loader::Executable &exe)
         ++health_.cache_misses;
         c_cache_misses.add();
     }
-    const lifter::LiftedExecutable *lifted = lift_cached(exe);
+    const lifter::LiftedExecutable *lifted = lift_cached(exe, key);
     if (lifted == nullptr) {
         return nullptr;
     }
-    auto index = std::make_shared<sim::ExecutableIndex>(
+    auto index = std::make_shared<const sim::ExecutableIndex>(
         sim::index_executable(*lifted, canon_options(),
                               resolve_worker_threads(0)));
     sync_memo_health();
-    prepare_retrieval(*index);
-    sync_retrieval_health();
     if (sim::IndexCacheStore *store = cache_store()) {
         if (auto written = store->store(key, *index); written.ok()) {
             health_.cache_write_bytes += written.value();
@@ -531,11 +512,11 @@ Driver::index_target(const loader::Executable &exe)
 const baseline::GraphIndex *
 Driver::graph_target(const loader::Executable &exe)
 {
-    const lifter::LiftedExecutable *lifted = lift_cached(exe);
+    const std::uint64_t key = content_key(exe);
+    const lifter::LiftedExecutable *lifted = lift_cached(exe, key);
     if (lifted == nullptr) {
         return nullptr;
     }
-    const std::uint64_t key = content_key(exe);
     auto it = graph_cache_.find(key);
     if (it == graph_cache_.end()) {
         it = graph_cache_.emplace(key, baseline::graph_index(*lifted))
@@ -557,16 +538,33 @@ corpus_targets(const firmware::Corpus &corpus)
     return targets;
 }
 
-std::vector<const loader::Executable *>
-Driver::unseen_executables(const std::vector<CorpusTarget> &targets) const
+namespace {
+
+/** Content key of each of @p targets. */
+std::vector<std::uint64_t>
+target_keys(const std::vector<CorpusTarget> &targets)
 {
-    std::vector<const loader::Executable *> work;
-    std::set<std::uint64_t> seen;
+    std::vector<std::uint64_t> keys;
+    keys.reserve(targets.size());
     for (const CorpusTarget &target : targets) {
-        const std::uint64_t key = content_key(*target.exe);
+        keys.push_back(content_key(*target.exe));
+    }
+    return keys;
+}
+
+}  // namespace
+
+std::vector<Driver::KeyedExe>
+Driver::unseen_executables(const std::vector<CorpusTarget> &targets,
+                           const std::vector<std::uint64_t> &keys) const
+{
+    std::vector<KeyedExe> work;
+    std::set<std::uint64_t> seen;
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+        const std::uint64_t key = keys[t];
         if (seen.insert(key).second && !index_cache_.contains(key) &&
             !quarantined_.contains(key)) {
-            work.push_back(target.exe);
+            work.push_back({targets[t].exe, key});
         }
     }
     return work;
@@ -575,13 +573,13 @@ Driver::unseen_executables(const std::vector<CorpusTarget> &targets) const
 std::size_t
 Driver::preindex(const firmware::Corpus &corpus, unsigned threads)
 {
-    return index_many(unseen_executables(corpus_targets(corpus)),
+    const std::vector<CorpusTarget> targets = corpus_targets(corpus);
+    return index_many(unseen_executables(targets, target_keys(targets)),
                       threads);
 }
 
 std::size_t
-Driver::index_many(const std::vector<const loader::Executable *> &work,
-                   unsigned threads)
+Driver::index_many(const std::vector<KeyedExe> &work, unsigned threads)
 {
     const auto start = std::chrono::steady_clock::now();
     const std::uint64_t cpu_start = trace::process_cpu_ns();
@@ -609,10 +607,6 @@ Driver::index_many(const std::vector<const loader::Executable *> &work,
         int retries = 0;          ///< transient lift retries consumed
     };
     std::vector<Slot> slots(work.size());
-    // keys[i] is written only by worker i (content hashing is O(text
-    // bytes), so it belongs in the fan-out, not a serial prologue) and
-    // read by the merge loop after the join — never concurrently.
-    std::vector<std::uint64_t> keys(work.size());
     // Workers share the driver's thread-safe canon memo through the
     // options copy; each indexes its own executable serially (the
     // parallelism is across executables here).
@@ -632,12 +626,12 @@ Driver::index_many(const std::vector<const loader::Executable *> &work,
                 return;
             }
             slots[i].attempted = true;
-            keys[i] = content_key(*work[i]);
+            const std::uint64_t key = work[i].key;
             // Resident tier first: a hot index costs one hash lookup —
             // no store I/O, no checksum, no parse. The cache is
             // mutex-guarded, so workers probe it concurrently.
             if (resident != nullptr) {
-                if (auto hot = resident->get(keys[i])) {
+                if (auto hot = resident->get(key)) {
                     slots[i].ok = true;
                     slots[i].from_resident = true;
                     slots[i].resident = std::move(hot);
@@ -648,7 +642,7 @@ Driver::index_many(const std::vector<const loader::Executable *> &work,
             if (store != nullptr) {
                 const auto load_start =
                     std::chrono::steady_clock::now();
-                auto loaded = store->load(keys[i], use_mmap,
+                auto loaded = store->load(key, use_mmap,
                                           &slots[i].load_stats);
                 slots[i].load_seconds = seconds_since(load_start);
                 if (loaded.ok()) {
@@ -661,7 +655,7 @@ Driver::index_many(const std::vector<const loader::Executable *> &work,
             }
             auto result = retry_transient(
                 retry_policy, cancel,
-                [&] { return lift_untrusted(*work[i]); },
+                [&] { return lift_untrusted(*work[i].exe); },
                 &slots[i].retries);
             if (!result.ok()) {
                 slots[i].code = result.error_code();
@@ -673,7 +667,7 @@ Driver::index_many(const std::vector<const loader::Executable *> &work,
             slots[i].index =
                 sim::index_executable(slots[i].lifted, canon);
             if (store != nullptr) {
-                if (auto written = store->store(keys[i], slots[i].index);
+                if (auto written = store->store(key, slots[i].index);
                     written.ok()) {
                     slots[i].write_bytes = written.value();
                 }
@@ -681,8 +675,8 @@ Driver::index_many(const std::vector<const loader::Executable *> &work,
         });
     std::size_t indexed = 0;
     for (std::size_t i = 0; i < work.size(); ++i) {
-        const loader::Executable &exe = *work[i];
-        const std::uint64_t key = keys[i];
+        const loader::Executable &exe = *work[i].exe;
+        const std::uint64_t key = work[i].key;
         if (!slots[i].attempted) {
             continue;  // cancelled before the worker reached it
         }
@@ -738,27 +732,19 @@ Driver::index_many(const std::vector<const loader::Executable *> &work,
         note_healthy(key);
         ++indexed;
         if (slots[i].from_resident) {
-            // The shared object was prepared by whoever published it;
-            // build_lsh is a no-op when the table shape already matches
-            // (see index_target). Cast-back is defined: every resident
-            // pointer originates from a non-const make_shared below.
-            prepare_retrieval(*std::const_pointer_cast<
-                              sim::ExecutableIndex>(slots[i].resident));
             index_cache_.emplace(key, std::move(slots[i].resident));
             continue;
         }
         if (!slots[i].from_cache) {
             lift_cache_.emplace(key, std::move(slots[i].lifted));
         }
-        auto index = std::make_shared<sim::ExecutableIndex>(
+        auto index = std::make_shared<const sim::ExecutableIndex>(
             std::move(slots[i].index));
-        prepare_retrieval(*index);
         health_.resident_evictions +=
             resident_publish(resident, key, index);
         index_cache_.emplace(key, std::move(index));
     }
     sync_memo_health();
-    sync_retrieval_health();
     health_.index_seconds += seconds_since(start);
     health_.index_cpu_seconds +=
         static_cast<double>(trace::process_cpu_ns() - cpu_start) * 1e-9;
@@ -903,11 +889,21 @@ Driver::build_queries(const firmware::CveRecord &cve,
                       const std::vector<CorpusTarget> &targets,
                       unsigned threads)
 {
-    index_many(unseen_executables(targets), threads);
+    return build_queries(cve, targets, target_keys(targets), threads,
+                         /*hunt=*/false);
+}
+
+std::map<isa::Arch, Query>
+Driver::build_queries(const firmware::CveRecord &cve,
+                      const std::vector<CorpusTarget> &targets,
+                      const std::vector<std::uint64_t> &keys,
+                      unsigned threads, bool hunt)
+{
+    index_many(unseen_executables(targets, keys), threads);
     // After indexing, index_target is a pure cache/quarantine lookup, so
     // this lazily builds exactly the query set of the serial scan loop.
     std::map<isa::Arch, Query> queries;
-    for (const CorpusTarget &target : targets) {
+    for (std::size_t t = 0; t < targets.size(); ++t) {
         // Cancellation point: on a cache miss (e.g. targets index_many
         // skipped after cancellation) index_target cold-lifts serially,
         // so a shutting-down scan must not walk the rest of the corpus
@@ -915,30 +911,12 @@ Driver::build_queries(const firmware::CveRecord &cve,
         if (options_.cancel != nullptr && options_.cancel->requested()) {
             break;
         }
-        const sim::ExecutableIndex *index = index_target(*target.exe);
-        if (index != nullptr && !queries.contains(index->arch)) {
-            queries.emplace(index->arch, build_query(cve, index->arch));
-        }
-    }
-    return queries;
-}
-
-std::map<isa::Arch, Query>
-Driver::build_hunt_queries(const firmware::CveRecord &cve,
-                           const std::vector<CorpusTarget> &targets,
-                           unsigned threads)
-{
-    index_many(unseen_executables(targets), threads);
-    std::map<isa::Arch, Query> queries;
-    for (const CorpusTarget &target : targets) {
-        if (options_.cancel != nullptr && options_.cancel->requested()) {
-            break;
-        }
-        const sim::ExecutableIndex *index = index_target(*target.exe);
+        const sim::ExecutableIndex *index =
+            index_target(*targets[t].exe, keys[t]);
         if (index != nullptr && !queries.contains(index->arch)) {
             Query query = build_query_impl(
                 cve.package, cve.procedure, latest_vulnerable_version(cve),
-                index->arch, /*hunt=*/true);
+                index->arch, hunt);
             query.label = cve.cve_id;
             queries.emplace(index->arch, std::move(query));
         }
@@ -967,18 +945,6 @@ scan_fingerprint(const SearchOptions &options, const std::string &label,
     // Wall-clock knobs (game.max_seconds, the watchdog, the retry
     // policy) are deliberately excluded: they bound how long a scan may
     // take, not which answer a target deterministically produces.
-    //
-    // The retrieval knob changes which candidates games see, hence
-    // which answers a scan produces — it must split the fingerprint.
-    // Folded only in Lsh mode so every exact-mode journal written
-    // before the knob existed still resumes.
-    if (options.retrieval == sim::RetrievalMode::Lsh) {
-        fp = hash_combine(fp, fnv1a64("retrieval:lsh"));
-        fp = hash_combine(fp,
-                          static_cast<std::uint64_t>(options.lsh_bands));
-        fp = hash_combine(fp,
-                          static_cast<std::uint64_t>(options.lsh_rows));
-    }
     return fp != 0 ? fp : 1;  // 0 means "skip the check" in parse()
 }
 
@@ -998,7 +964,7 @@ Driver::open_journal(const std::string &label, bool confirm)
             if (opened.error_code() == ErrorCode::StaleFormat &&
                 opened.error_message() == kJournalFingerprintMismatch) {
                 // A structurally sound journal for a *different* scan
-                // configuration (e.g. another retrieval mode): silently
+                // configuration (e.g. other confirm thresholds): silently
                 // rescanning under the new knobs while the old journal
                 // sits on disk would mix findings from two
                 // configurations on the next resume. Refuse the scan;
@@ -1116,7 +1082,7 @@ Driver::search_corpus(const std::map<isa::Arch, Query> &queries,
     open_journal(label, confirm);
     std::vector<std::vector<CorpusOutcome>> rows =
         run_batch({&queries}, {query_fingerprint(label)}, targets,
-                  threads, confirm);
+                  target_keys(targets), threads, confirm);
     return std::move(rows.front());
 }
 
@@ -1154,12 +1120,9 @@ Driver::search_corpus_batch(const std::vector<firmware::CveRecord> &cves,
         query_fps.push_back(query_fingerprint(label));
     }
 
-    // Content keys once per batch (hashing every target's text bytes
-    // once per CVE would already be a per-query cost).
-    std::vector<std::uint64_t> keys(targets.size());
-    for (std::size_t t = 0; t < targets.size(); ++t) {
-        keys[t] = content_key(*targets[t].exe);
-    }
+    // Content keys once per scan: every stage below takes them from
+    // here instead of re-hashing each target's text bytes.
+    const std::vector<std::uint64_t> keys = target_keys(targets);
 
     // Per-CVE queries over that CVE's pending targets — the same
     // carve-out a single-CVE scan performs, so replayed pairs and
@@ -1171,35 +1134,32 @@ Driver::search_corpus_batch(const std::vector<firmware::CveRecord> &cves,
     set_ptrs.reserve(cves.size());
     for (std::size_t q = 0; q < cves.size(); ++q) {
         std::vector<CorpusTarget> pending;
-        pending.reserve(targets.size());
+        std::vector<std::uint64_t> pending_keys;
         for (std::size_t t = 0; t < targets.size(); ++t) {
             if (journal_replay_.contains({keys[t], 0}) ||
                 journal_replay_.contains({keys[t], query_fps[q]})) {
                 continue;
             }
             pending.push_back(targets[t]);
+            pending_keys.push_back(keys[t]);
         }
-        query_sets[q] = build_hunt_queries(cves[q], pending, threads);
+        query_sets[q] = build_queries(cves[q], pending, pending_keys,
+                                      threads, /*hunt=*/true);
         set_ptrs.push_back(&query_sets[q]);
     }
-    return run_batch(set_ptrs, query_fps, targets, threads, confirm);
+    return run_batch(set_ptrs, query_fps, targets, keys, threads, confirm);
 }
 
 std::vector<std::vector<CorpusOutcome>>
 Driver::run_batch(
     const std::vector<const std::map<isa::Arch, Query> *> &query_sets,
     const std::vector<std::uint64_t> &query_fps,
-    const std::vector<CorpusTarget> &targets, unsigned threads,
-    bool confirm)
+    const std::vector<CorpusTarget> &targets,
+    const std::vector<std::uint64_t> &keys, unsigned threads, bool confirm)
 {
     const std::size_t nq = query_sets.size();
     const std::size_t nt = targets.size();
     const CancelToken *const cancel = options_.cancel;
-
-    std::vector<std::uint64_t> keys(nt);
-    for (std::size_t t = 0; t < nt; ++t) {
-        keys[t] = content_key(*targets[t].exe);
-    }
 
     std::vector<std::vector<CorpusOutcome>> out(nq);
     std::vector<std::vector<char>> replayed(nq);
@@ -1255,6 +1215,7 @@ Driver::run_batch(
     // fully-served targets must not be lifted (or even store-loaded).
     std::vector<char> needed(nt, 0);
     std::vector<CorpusTarget> pending;
+    std::vector<std::uint64_t> pending_keys;
     for (std::size_t t = 0; t < nt; ++t) {
         for (std::size_t q = 0; q < nq; ++q) {
             if (!replayed[q][t]) {
@@ -1264,12 +1225,13 @@ Driver::run_batch(
         }
         if (needed[t]) {
             pending.push_back(targets[t]);
+            pending_keys.push_back(keys[t]);
         }
     }
     // unseen_executables dedupes by content key and drops cached and
     // quarantined keys (replayed quarantines entered quarantined_
     // above), so each distinct pending executable indexes exactly once.
-    index_many(unseen_executables(pending), threads);
+    index_many(unseen_executables(pending, pending_keys), threads);
 
     // Resolve targets against the now-complete caches (serial: this
     // still mutates health for executables first seen here).
@@ -1291,7 +1253,7 @@ Driver::run_batch(
             }
             continue;
         }
-        resolved[t] = index_target(*targets[t].exe);
+        resolved[t] = index_target(*targets[t].exe, keys[t]);
         for (std::size_t q = 0; q < nq; ++q) {
             if (!replayed[q][t]) {
                 out[q][t].indexed = resolved[t] != nullptr;
@@ -1304,7 +1266,6 @@ Driver::run_batch(
     // and is restored afterwards.
     const game::GameOptions saved_game = options_.game;
     options_.game.cancel = cancel;
-    options_.game.retrieval = options_.retrieval;
     if (options_.target_budget_seconds > 0.0 &&
         (options_.game.max_seconds <= 0.0 ||
          options_.target_budget_seconds < options_.game.max_seconds)) {

@@ -56,30 +56,6 @@ struct SearchOptions
     double margin_factor = 2.5;
     bool use_game = true;      ///< false = procedure-centric top-1
     game::GameOptions game;
-    /**
-     * Candidate retrieval stage (sim::RetrievalMode). Exact (default)
-     * is the complete posting-list path and the ablation baseline —
-     * bit-identical to every pre-LSH scan. Lsh prefilters candidates
-     * through the MinHash banding table: the driver builds each
-     * query's and target's LSH table (lsh_bands x lsh_rows) before its
-     * games run, and sketches ride the persistent FWIX v4 entries so
-     * warm scans never recompute them. Findings may differ from Exact
-     * (recall is property-tested and benchmarked, never assumed); the
-     * scan fingerprint covers this knob, so a journal written in one
-     * mode cannot be resumed into the other.
-     */
-    sim::RetrievalMode retrieval = sim::RetrievalMode::Exact;
-    /**
-     * LSH banding shape: bands x rows <= strand::kSketchSize. A pair
-     * with Jaccard similarity s collides in at least one band with
-     * probability 1-(1-s^r)^b — steep at 16x4 (near-certain above
-     * s=0.6, near-zero below s=0.2), which prunes hard; the probe's
-     * rare-hash containment floor (sim::lsh_candidates) is what keeps
-     * low-Jaccard-but-high-Sim matches reachable, so the bands can
-     * afford to be selective.
-     */
-    unsigned lsh_bands = 16;
-    unsigned lsh_rows = 4;
     strand::CanonOptions canon;  ///< section ranges filled per target
     /**
      * Share one cross-executable canonicalization memo (strand/memo.h)
@@ -98,7 +74,7 @@ struct SearchOptions
      */
     std::string index_cache_dir;
     /**
-     * Serve persistent-store entries through the FWIX v5 mmap view path
+     * Serve persistent-store entries through the FWIX v6 mmap view path
      * (zero-copy open: checksum pass + O(procs) materialization) when
      * the host supports it. False is the --no-mmap ablation baseline:
      * the copying parser streams every arena into owning vectors.
@@ -199,10 +175,13 @@ struct CorpusOutcome
 std::vector<CorpusTarget> corpus_targets(const firmware::Corpus &corpus);
 
 /**
- * Content identity of an executable: name + text bytes. Byte-identical
+ * Content identity of an executable: its name, text bytes and every
+ * other field the lifter reads (declared arch, entry, text/data
+ * addresses, data size, symbol addresses and names). Identical
  * executables re-shipped across firmware versions collapse to one key
- * (paper section 5.2 observation) — this is the cache and quarantine key
- * used throughout the driver.
+ * (paper section 5.2 observation), while the same text loaded at
+ * another address does not — this is the cache and quarantine key used
+ * throughout the driver.
  */
 std::uint64_t content_key(const loader::Executable &exe);
 
@@ -444,13 +423,16 @@ class Driver
     /** Fold new retrieval counters into health_ (delta-based). */
     void sync_retrieval_health();
 
-    /**
-     * Build @p index's LSH banding table per options_ when retrieval is
-     * Lsh (no-op otherwise). Called at every point an index enters the
-     * scan — cold build, warm store load, query build — so games only
-     * ever see LSH-ready indexes in Lsh mode.
-     */
-    void prepare_retrieval(sim::ExecutableIndex &index);
+    /** An executable with its content key, hashed once per scan. */
+    struct KeyedExe
+    {
+        const loader::Executable *exe = nullptr;
+        std::uint64_t key = 0;
+    };
+
+    /** index_target for an executable whose content key is @p key. */
+    const sim::ExecutableIndex *index_target(const loader::Executable &exe,
+                                             std::uint64_t key);
 
     /** Count @p key as a seen + healthy executable, once. */
     void note_healthy(std::uint64_t key);
@@ -476,13 +458,16 @@ class Driver
                            bool hunt);
 
     /**
-     * build_queries through build_query_impl's hunt lane — what
+     * build_queries over targets whose content keys are @p keys (one
+     * per target). @p hunt selects build_query_impl's hunt lane — what
      * search_corpus_batch uses, so warm batched hunts pay zero query
      * compilation.
      */
-    std::map<isa::Arch, Query> build_hunt_queries(
+    std::map<isa::Arch, Query> build_queries(
         const firmware::CveRecord &cve,
-        const std::vector<CorpusTarget> &targets, unsigned threads);
+        const std::vector<CorpusTarget> &targets,
+        const std::vector<std::uint64_t> &keys, unsigned threads,
+        bool hunt);
 
     /**
      * The batched fan-out core every search_corpus overload lands on:
@@ -491,12 +476,14 @@ class Driver
      * on the work-stealing scheduler and merge accounting
      * single-threaded in (query, target) order — the same order N
      * sequential single-query scans would have produced. The journal
-     * must already be open (or absent) when this runs.
+     * must already be open (or absent) when this runs. @p keys holds
+     * each target's content key.
      */
     std::vector<std::vector<CorpusOutcome>> run_batch(
         const std::vector<const std::map<isa::Arch, Query> *> &query_sets,
         const std::vector<std::uint64_t> &query_fps,
-        const std::vector<CorpusTarget> &targets, unsigned threads,
+        const std::vector<CorpusTarget> &targets,
+        const std::vector<std::uint64_t> &keys, unsigned threads,
         bool confirm);
 
     /**
@@ -505,7 +492,7 @@ class Driver
      * to a journal-less scan (recorded in the health error histogram) —
      * a journal problem must never cost the scan itself. One exception:
      * resuming a structurally sound journal whose fingerprint binds it
-     * to a different scan configuration (e.g. another retrieval mode)
+     * to a different scan configuration (e.g. other confirm thresholds)
      * sets health_.resume_rejected, and run_batch then refuses to scan
      * — mixing two configurations' findings would be silently wrong.
      */
@@ -518,7 +505,7 @@ class Driver
     void journal_append(const JournalEntry &entry);
 
     const lifter::LiftedExecutable *lift_cached(
-        const loader::Executable &exe);
+        const loader::Executable &exe, std::uint64_t key);
 
     /**
      * Parallel lift+index of distinct, not-yet-cached executables; the
@@ -526,13 +513,16 @@ class Driver
      * the phase wall-clock in health().index_seconds.
      * @return number successfully indexed.
      */
-    std::size_t index_many(
-        const std::vector<const loader::Executable *> &work,
-        unsigned threads);
+    std::size_t index_many(const std::vector<KeyedExe> &work,
+                           unsigned threads);
 
-    /** Dedupe @p targets down to executables the caches have not seen. */
-    std::vector<const loader::Executable *> unseen_executables(
-        const std::vector<CorpusTarget> &targets) const;
+    /**
+     * Dedupe @p targets (content keys in @p keys) down to executables
+     * the caches have not seen.
+     */
+    std::vector<KeyedExe> unseen_executables(
+        const std::vector<CorpusTarget> &targets,
+        const std::vector<std::uint64_t> &keys) const;
 };
 
 /** The newest version of @p package that @p cve still affects. */

@@ -83,7 +83,7 @@ struct ScanHealth
      * LoadStats): open (file open + read, or mmap), checksum (the
      * container guards over the payload) and parse (view open or
      * copying parse). The split is what makes the mmap win legible —
-     * a v5 view open collapses parse to ~O(procs) while checksum stays.
+     * a v6 view open collapses parse to ~O(procs) while checksum stays.
      * cache_mmap_loads counts loads served by the zero-copy view.
      */
     double cache_open_seconds = 0.0;
@@ -125,21 +125,11 @@ struct ScanHealth
     std::uint64_t canon_memo_misses = 0;
 
     /**
-     * Candidate-retrieval accounting (see sim::RetrievalCounters).
-     * Exact probes count the candidate pairs the posting/dense path
-     * scored; LSH probes count the pairs the MinHash band table let
-     * through plus `retrieval_lsh_exact_work`, the posting-list
-     * incidences an exact probe of the same query would have touched —
-     * the work the prefilter avoided. sketch_seconds is the wall clock
-     * spent building MinHash sketches (cold indexing only; warm FWIX v4
-     * loads ship sketches for free).
+     * Candidate-retrieval accounting (see sim::RetrievalCounters):
+     * posting-list probes and the candidate pairs they scored.
      */
     std::uint64_t retrieval_probes_exact = 0;
     std::uint64_t retrieval_candidates_exact = 0;
-    std::uint64_t retrieval_probes_lsh = 0;
-    std::uint64_t retrieval_candidates_lsh = 0;
-    std::uint64_t retrieval_lsh_exact_work = 0;
-    double sketch_seconds = 0.0;
 
     /**
      * A `--resume` was refused because the journal on disk was written

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -26,9 +25,6 @@ const trace::Counter c_posting_hashes("index.posting_hashes");
 const trace::Counter c_posting_incidences("index.posting_incidences");
 const trace::Counter c_indexed_procs("index.procedures");
 const trace::Counter c_cand_exact("retrieval.candidates_exact");
-const trace::Counter c_cand_lsh("retrieval.candidates_lsh");
-const trace::Counter c_lsh_probes("retrieval.lsh_probes");
-const trace::Counter c_sketch_micros("retrieval.sketch_micros");
 
 /**
  * Always-on retrieval accounting (the trace counters above are gated on
@@ -39,28 +35,9 @@ struct RetrievalAtomics
 {
     std::atomic<std::uint64_t> probes_exact{0};
     std::atomic<std::uint64_t> candidates_exact{0};
-    std::atomic<std::uint64_t> probes_lsh{0};
-    std::atomic<std::uint64_t> candidates_lsh{0};
-    std::atomic<std::uint64_t> lsh_exact_work{0};
-    std::atomic<std::uint64_t> sketch_micros{0};
 };
 
 RetrievalAtomics g_retrieval;
-
-/** Build @p repr's MinHash sketch, charging the wall time spent. */
-void
-build_sketch_timed(strand::ProcedureStrands &repr)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    repr.build_sketch();
-    const auto micros =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    g_retrieval.sketch_micros.fetch_add(
-        static_cast<std::uint64_t>(micros), std::memory_order_relaxed);
-    c_sketch_micros.add(static_cast<std::uint64_t>(micros));
-}
 
 /**
  * First position in [first, last) not less than @p key, found by
@@ -473,56 +450,10 @@ ExecutableIndex::finalize()
     posting_offsets.push_back(
         static_cast<std::uint32_t>(posting_procs.size()));
     search_ready = true;
-    // Backstop for sketches the indexing fan-out (or a FWIX v4 load)
-    // did not already provide, so every finalized index can serve the
-    // LSH retrieval path.
-    for (ProcEntry &proc : procs) {
-        if (!proc.repr.sketch_built) {
-            build_sketch_timed(proc.repr);
-        }
-    }
     c_finalize_calls.add();
     c_posting_hashes.add(posting_hashes.size());
     c_posting_incidences.add(posting_procs.size());
     c_indexed_procs.add(procs.size());
-}
-
-void
-ExecutableIndex::build_lsh(unsigned bands, unsigned rows)
-{
-    bands = std::min<unsigned>(std::max(bands, 1u),
-                               static_cast<unsigned>(strand::kSketchSize));
-    rows = std::min<unsigned>(
-        std::max(rows, 1u),
-        static_cast<unsigned>(strand::kSketchSize) / bands);
-    if (lsh_bands == bands && lsh_rows == rows) {
-        return;
-    }
-    lsh_keys.clear();
-    lsh_procs.clear();
-    lsh_offsets.clear();
-    lsh_offsets.reserve(bands + 1);
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> segment;
-    for (unsigned b = 0; b < bands; ++b) {
-        lsh_offsets.push_back(static_cast<std::uint32_t>(lsh_keys.size()));
-        segment.clear();
-        for (std::size_t i = 0; i < procs.size(); ++i) {
-            const strand::ProcedureStrands &repr = procs[i].repr;
-            if (!repr.sketch_built || repr.hash_empty()) {
-                continue;
-            }
-            segment.emplace_back(strand::band_key(repr.sketch, b, rows),
-                                 static_cast<std::uint32_t>(i));
-        }
-        std::sort(segment.begin(), segment.end());
-        for (const auto &[key, proc] : segment) {
-            lsh_keys.push_back(key);
-            lsh_procs.push_back(proc);
-        }
-    }
-    lsh_offsets.push_back(static_cast<std::uint32_t>(lsh_keys.size()));
-    lsh_bands = bands;
-    lsh_rows = rows;
 }
 
 int
@@ -577,9 +508,6 @@ ExecutableIndex::memory_bytes() const
     bytes += posting_hashes.size() * sizeof(std::uint64_t);
     bytes += posting_offsets.size() * sizeof(std::uint32_t);
     bytes += posting_procs.size() * sizeof(std::uint32_t);
-    bytes += lsh_keys.size() * sizeof(std::uint64_t);
-    bytes += lsh_procs.size() * sizeof(std::uint32_t);
-    bytes += lsh_offsets.size() * sizeof(std::uint32_t);
     // entry_map / name_map: one entry per procedure each, roughly.
     bytes += procs.size() * 2 * sizeof(std::uint64_t) * 2;
     return bytes;
@@ -613,10 +541,6 @@ index_executable(const lifter::LiftedExecutable &lifted,
     const auto represent_slot = [&](std::size_t slot) {
         index.procs[slot].repr =
             strand::represent_procedure(*order[slot], options);
-        // Sketch here, not in finalize(): this closure is what the
-        // ThreadPool fans out, so sketching rides the same parallelism
-        // as canonicalization.
-        build_sketch_timed(index.procs[slot].repr);
     };
     // Procedures are independent units of work; each writes only its
     // own pre-sized slot, so any schedule yields the same index. Small
@@ -1053,109 +977,6 @@ shared_candidates(const ExecutableIndex &T,
     return out;
 }
 
-std::vector<Candidate>
-lsh_candidates(const ExecutableIndex &T,
-               const strand::ProcedureStrands &q, ScoringStats *stats)
-{
-    if (!T.lsh_ready() || !q.sketch_built) {
-        return shared_candidates(T, q, stats);
-    }
-    std::vector<Candidate> out;
-    if (T.procs.empty() || q.hash_empty()) {
-        return out;
-    }
-    // Band probes: binary-search each band's sorted segment for the
-    // query's band key; colliding procedures are the candidate pool.
-    std::vector<std::uint32_t> cand;
-    for (unsigned b = 0; b < T.lsh_bands; ++b) {
-        const std::uint64_t key = strand::band_key(q.sketch, b, T.lsh_rows);
-        const auto first = T.lsh_keys.begin() + T.lsh_offsets[b];
-        const auto last = T.lsh_keys.begin() + T.lsh_offsets[b + 1];
-        for (auto it = std::lower_bound(first, last, key);
-             it != last && *it == key; ++it) {
-            cand.push_back(T.lsh_procs[static_cast<std::size_t>(
-                it - T.lsh_keys.begin())]);
-        }
-    }
-    // Containment floor: MinHash bands model Jaccard similarity, which
-    // collapses when a small procedure's strand set is contained in a
-    // much larger one (|A∩B|/|A∪B| goes to 0 while Sim = |A∩B| stays
-    // high) — exactly the shape of a CVE query inside a statically
-    // linked target. The probe therefore always unions in the
-    // procedures behind the query's rarest strand hashes: the shortest
-    // posting lists are the most selective evidence and the cheapest to
-    // scan, so the floor is bounded by kRareProbes short lists. The
-    // same row lookup feeds the exact-work audit (the posting
-    // incidences an exact probe would have accumulated), one galloping
-    // search per query hash.
-    std::uint64_t exact_work = 0;
-    if (T.search_ready) {
-        constexpr std::size_t kRareProbes = 8;
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> lists;
-        lists.reserve(q.hash_count());
-        const std::uint64_t *base = T.posting_hash_data();
-        const std::uint32_t *offsets = T.posting_offset_data();
-        const std::uint32_t *plist = T.posting_proc_data();
-        const std::uint64_t *ph = base;
-        const std::uint64_t *pe = base + T.posting_hash_count();
-        const std::uint64_t *qh = q.hash_data();
-        const std::uint64_t *qe = qh + q.hash_count();
-        for (; qh != qe; ++qh) {
-            ph = gallop_lower_bound(ph, pe, *qh);
-            if (ph == pe) {
-                break;
-            }
-            if (*ph != *qh) {
-                continue;
-            }
-            const auto row = static_cast<std::uint32_t>(ph - base);
-            const std::uint32_t len = offsets[row + 1] - offsets[row];
-            exact_work += len;
-            lists.emplace_back(len, row);
-        }
-        if (lists.size() > kRareProbes) {
-            // (length, row) keys are unique per row, so the selection
-            // is deterministic regardless of the iteration above.
-            std::partial_sort(lists.begin(),
-                              lists.begin() + kRareProbes, lists.end());
-            lists.resize(kRareProbes);
-        }
-        for (const auto &[len, row] : lists) {
-            for (std::uint32_t i = offsets[row]; i < offsets[row + 1];
-                 ++i) {
-                cand.push_back(plist[i]);
-            }
-        }
-    }
-    std::sort(cand.begin(), cand.end());
-    cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-    // Exact scoring of the survivors: same Sim as the posting path, so
-    // the result is a subset of shared_candidates(T, q) by construction.
-    ScoringStats local;
-    out.reserve(cand.size());
-    for (std::uint32_t proc : cand) {
-        const strand::ProcedureStrands &t = T.procs[proc].repr;
-        const int s = sim_score(q, t);
-        ++local.pairs_scored;
-        local.elem_ops += q.hash_count() + t.hash_count();
-        if (s > 0) {
-            out.push_back({static_cast<int>(proc), s});
-        }
-    }
-    if (stats != nullptr) {
-        stats->pairs_scored += local.pairs_scored;
-        stats->elem_ops += local.elem_ops;
-    }
-    g_retrieval.probes_lsh.fetch_add(1, std::memory_order_relaxed);
-    g_retrieval.candidates_lsh.fetch_add(local.pairs_scored,
-                                         std::memory_order_relaxed);
-    g_retrieval.lsh_exact_work.fetch_add(exact_work,
-                                         std::memory_order_relaxed);
-    c_lsh_probes.add();
-    c_cand_lsh.add(local.pairs_scored);
-    return out;
-}
-
 RetrievalCounters
 retrieval_counters()
 {
@@ -1164,14 +985,6 @@ retrieval_counters()
         g_retrieval.probes_exact.load(std::memory_order_relaxed);
     out.candidates_exact =
         g_retrieval.candidates_exact.load(std::memory_order_relaxed);
-    out.probes_lsh =
-        g_retrieval.probes_lsh.load(std::memory_order_relaxed);
-    out.candidates_lsh =
-        g_retrieval.candidates_lsh.load(std::memory_order_relaxed);
-    out.lsh_exact_work =
-        g_retrieval.lsh_exact_work.load(std::memory_order_relaxed);
-    out.sketch_micros =
-        g_retrieval.sketch_micros.load(std::memory_order_relaxed);
     return out;
 }
 

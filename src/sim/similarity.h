@@ -47,42 +47,17 @@ struct Candidate
 };
 
 /**
- * How candidate procedures are retrieved before exact scoring.
- *
- *  - Exact: the CSR posting lists — every procedure sharing at least
- *    one strand hash is scored. Complete by construction; this is the
- *    default and the oracle the LSH path is tested against.
- *  - Lsh: MinHash/LSH prefilter — only procedures whose sketch collides
- *    with the query's in at least one band are scored (exactly, with
- *    the same Sim the posting path computes). Sublinear in corpus
- *    incidences, but may miss low-similarity candidates; recall floors
- *    are property-tested and benchmarked against Exact.
- */
-enum class RetrievalMode
-{
-    Exact,
-    Lsh,
-};
-
-/**
  * Process-wide retrieval accounting (monotonic, thread-safe), the
  * always-on analogue of the trace counters so ScanHealth can report
- * candidate reduction at any trace level. Drivers snapshot it before a
+ * retrieval work at any trace level. Drivers snapshot it before a
  * scan and attribute the delta (eval/health.h).
  */
 struct RetrievalCounters
 {
     std::uint64_t probes_exact = 0;     ///< shared_candidates() calls
     std::uint64_t candidates_exact = 0; ///< procedures they scored
-    std::uint64_t probes_lsh = 0;       ///< lsh_candidates() probes
-    std::uint64_t candidates_lsh = 0;   ///< procedures they scored
-    /**
-     * Posting incidences the exact path would have accumulated for the
-     * LSH probes — the work the prefilter avoided, measured from the
-     * posting lists at probe time (cheap: one lookup per query hash).
-     */
-    std::uint64_t lsh_exact_work = 0;
-    std::uint64_t sketch_micros = 0;    ///< wall time building sketches
+    /// Always 0; kept because perfbench/harness/workloads.cc reads it.
+    std::uint64_t sketch_micros = 0;
 };
 
 /** Snapshot of the process-wide retrieval counters. */
@@ -103,7 +78,7 @@ struct ExecutableIndex
      * indexes that never call finalize() still work — every consumer
      * falls back to a dense scan — but corpus-scale search wants this.
      *
-     * Owning mode only: a view-mode index (FWIX v5 mmap load) leaves
+     * Owning mode only: a view-mode index (FWIX v6 mmap load) leaves
      * these empty and points the *_view members into the mapped blob.
      * Consumers go through the posting_*_data()/count() accessors.
      */
@@ -113,7 +88,7 @@ struct ExecutableIndex
     bool search_ready = false;  ///< postings + lookup maps are built
 
     /**
-     * Non-owning CSR views over an mmap'ed FWIX v5 blob, pinned alive
+     * Non-owning CSR views over an mmap'ed FWIX v6 blob, pinned alive
      * by `backing`. posting_offsets_view has posting_count_view + 1
      * entries when set.
      */
@@ -138,41 +113,11 @@ struct ExecutableIndex
     std::unordered_map<std::string, int> name_map;
 
     /**
-     * LSH banding table over the procedures' MinHash sketches, built on
-     * demand by build_lsh() (it is derived data — never persisted; FWIX
-     * v4 persists the sketches it is rebuilt from). Band-major CSR:
-     * band b's segment is lsh_keys/lsh_procs[lsh_offsets[b] ..
-     * lsh_offsets[b+1]), sorted by (band key, procedure) so probes are
-     * binary searches and candidate order is deterministic. lsh_bands
-     * == 0 means "not built".
-     */
-    unsigned lsh_bands = 0;
-    unsigned lsh_rows = 0;
-    std::vector<std::uint64_t> lsh_keys;
-    std::vector<std::uint32_t> lsh_procs;
-    std::vector<std::uint32_t> lsh_offsets;
-
-    /**
-     * Build the posting lists and lookup maps, and backstop-build any
-     * missing procedure sketches (index_executable() builds them in its
-     * parallel fan-out; hand-assembled and pre-v4 indexes get them
-     * here). Called by index_executable() and parse_index(); call it
-     * yourself after assembling an index by hand to get the fast paths.
+     * Build the posting lists and lookup maps. Called by
+     * index_executable() and parse_index(); call it yourself after
+     * assembling an index by hand to get the fast paths.
      */
     void finalize();
-
-    /**
-     * (Re)build the LSH table with @p bands bands of @p rows sketch
-     * words each. Values are clamped so bands * rows <=
-     * strand::kSketchSize (bands first: bands in [1, 64], then rows in
-     * [1, 64 / bands]). No-op when already built with the same clamped
-     * shape. Procedures with empty strand sets are excluded — the
-     * exact path never returns them either.
-     */
-    void build_lsh(unsigned bands, unsigned rows);
-
-    /** True once build_lsh() has run. */
-    bool lsh_ready() const { return lsh_bands != 0; }
 
     /** Index of the procedure whose entry is @p addr, or -1. */
     int find_by_entry(std::uint64_t addr) const;
@@ -379,19 +324,6 @@ struct ScoringStats
 std::vector<Candidate> shared_candidates(
     const ExecutableIndex &T, const strand::ProcedureStrands &q,
     ScoringStats *stats = nullptr);
-
-/**
- * LSH-prefiltered candidates: every procedure of @p T whose sketch
- * collides with @p q's in at least one band, scored exactly (same Sim
- * as shared_candidates) and returned in ascending procedure-index
- * order with zero-Sim collisions dropped. Always a subset of
- * shared_candidates(T, q) with identical Sim values for the procedures
- * it keeps — the exact path is the oracle. Falls back to
- * shared_candidates() when @p T has no LSH table or @p q has no sketch.
- */
-std::vector<Candidate> lsh_candidates(const ExecutableIndex &T,
-                                      const strand::ProcedureStrands &q,
-                                      ScoringStats *stats = nullptr);
 
 /**
  * Statistical strand weights trained from a sample of procedures — the

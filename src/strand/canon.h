@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "ir/uir.h"
-#include "strand/sketch.h"
 #include "strand/slice.h"
 
 namespace firmup::strand {
@@ -112,7 +111,7 @@ struct ProcedureStrands
 {
     /**
      * Sorted, unique strand hashes (flat set; see finalize()). Owning
-     * mode only: a view-mode set (FWIX v5 mmap load) leaves this empty
+     * mode only: a view-mode set (FWIX v6 mmap load) leaves this empty
      * and points `hash_view` into the mapped blob instead. All readers
      * must go through hash_data()/hash_count(), which dispatch to
      * whichever storage is live; mutation (add/finalize) is an
@@ -122,7 +121,7 @@ struct ProcedureStrands
 
     /**
      * Non-owning view of the hash set (sorted, unique), borrowed from
-     * an mmap'ed FWIX v5 arena. Lifetime is pinned by the owning
+     * an mmap'ed FWIX v6 arena. Lifetime is pinned by the owning
      * ExecutableIndex's `backing` handle, never by this struct.
      */
     const std::uint64_t *hash_view = nullptr;
@@ -149,17 +148,6 @@ struct ProcedureStrands
     std::array<std::uint32_t, 5> word_offsets{};
     bool summary_built = false;
 
-    /**
-     * MinHash sketch of the hash set (strand/sketch.h) for the LSH
-     * retrieval prefilter. Not maintained by finalize(): the sim layer
-     * builds it (sim::ExecutableIndex::finalize() and the parallel
-     * indexing fan-out) so pure canonicalization never pays for it, and
-     * FWIX v4 persists it next to the block summary. A set without
-     * `sketch_built` simply takes the exact posting path.
-     */
-    MinHashSketch sketch{};
-    bool sketch_built = false;
-
     /** Append a hash; the set is unordered until finalize() runs. */
     void add(std::uint64_t h) { hashes.push_back(h); }
 
@@ -171,12 +159,6 @@ struct ProcedureStrands
      * flat-set invariant; finalize() calls it for you.
      */
     void build_summary();
-
-    /**
-     * (Re)build the MinHash sketch from the hashes. Order- and
-     * duplicate-insensitive, so it is valid before or after finalize().
-     */
-    void build_sketch();
 
     /** Membership by binary search (requires the flat-set invariant). */
     bool contains(std::uint64_t h) const;

@@ -92,6 +92,97 @@ TEST(Driver, IndexCacheReturnsSameObject)
     EXPECT_EQ(driver.health().lifted_ok, 1u);
 }
 
+/** libexif 0.6.19 built for ARM with its symbols kept. */
+loader::Executable
+libexif_exe()
+{
+    const auto &pkg = firmware::package_by_name("libexif");
+    const auto source = firmware::generate_package_source(pkg, "0.6.19");
+    codegen::BuildRequest request;
+    request.arch = isa::Arch::Arm32;
+    request.profile = compiler::gcc_like_toolchain();
+    return codegen::build_executable(source, request);
+}
+
+TEST(Driver, ContentKeyCoversEveryFieldTheLifterReads)
+{
+    const loader::Executable base = libexif_exe();
+    ASSERT_FALSE(base.symbols.empty());
+    const std::uint64_t key = content_key(base);
+    const auto differs = [&](auto mutate) {
+        loader::Executable copy = base;
+        mutate(copy);
+        return content_key(copy) != key;
+    };
+    EXPECT_TRUE(differs([](auto &e) { e.text_addr += 0x8000; }));
+    EXPECT_TRUE(differs([](auto &e) { e.data_addr += 0x1000; }));
+    EXPECT_TRUE(differs([](auto &e) { e.entry += 4; }));
+    EXPECT_TRUE(differs([](auto &e) {
+        e.declared_arch = isa::Arch::Mips32;
+    }));
+    EXPECT_TRUE(differs([](auto &e) { e.data.push_back(0); }));
+    EXPECT_TRUE(differs([](auto &e) { e.symbols.front().addr += 4; }));
+    EXPECT_TRUE(differs([](auto &e) { e.symbols.front().name += "_"; }));
+    EXPECT_TRUE(differs([](auto &e) { e.symbols.pop_back(); }));
+    EXPECT_TRUE(differs([](auto &e) { e.text.back() ^= 1; }));
+    EXPECT_TRUE(differs([](auto &e) { e.name += ".1"; }));
+    // Fields the lifter never reads keep the key.
+    EXPECT_FALSE(differs([](auto &e) { e.arch = isa::Arch::X86; }));
+    EXPECT_FALSE(differs([](auto &e) { e.stripped = !e.stripped; }));
+    EXPECT_FALSE(differs([](auto &e) {
+        e.symbols.front().exported = !e.symbols.front().exported;
+    }));
+}
+
+TEST(Driver, RelocatedCopiesReportTheirOwnEntries)
+{
+    // The same text bytes loaded at another address — what a vendor
+    // relinking an unchanged library ships. Each copy must be indexed
+    // on its own and report a match inside its own text section, in
+    // whichever order the scan meets them.
+    const loader::Executable low = libexif_exe();
+    constexpr std::uint32_t kDelta = 0x100000;
+    loader::Executable high = low;
+    high.text_addr += kDelta;
+    high.entry += kDelta;
+    for (loader::Symbol &sym : high.symbols) {
+        sym.addr += kDelta;
+    }
+    ASSERT_EQ(low.text, high.text);
+    EXPECT_NE(content_key(low), content_key(high));
+
+    const firmware::CveRecord *cve = nullptr;
+    for (const firmware::CveRecord &record : firmware::cve_database()) {
+        if (record.package == "libexif") {
+            cve = &record;
+            break;
+        }
+    }
+    ASSERT_NE(cve, nullptr);
+    for (const bool high_first : {false, true}) {
+        std::vector<CorpusTarget> targets = {{&low, -1}, {&high, -1}};
+        if (high_first) {
+            std::swap(targets[0], targets[1]);
+        }
+        Driver driver;
+        const std::vector<CorpusOutcome> row =
+            driver.search_corpus(*cve, targets, 1);
+        ASSERT_EQ(row.size(), 2u);
+        EXPECT_EQ(driver.health().lifted_ok, 2u);
+        for (const CorpusOutcome &co : row) {
+            ASSERT_TRUE(co.indexed);
+            ASSERT_TRUE(co.outcome.detected) << co.target.exe->text_addr;
+            EXPECT_TRUE(co.target.exe->in_text(co.outcome.matched_entry))
+                << std::hex << co.outcome.matched_entry
+                << " outside the text at " << co.target.exe->text_addr;
+        }
+        const SearchOutcome &lo = row[high_first ? 1 : 0].outcome;
+        const SearchOutcome &hi = row[high_first ? 0 : 1].outcome;
+        EXPECT_EQ(hi.matched_entry, lo.matched_entry + kDelta);
+        EXPECT_EQ(hi.sim, lo.sim);
+    }
+}
+
 TEST(Experiments, StepHistogramBuckets)
 {
     const auto buckets = step_histogram({1, 1, 2, 3, 4, 7, 12, 30, 100});

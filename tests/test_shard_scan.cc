@@ -223,10 +223,6 @@ TEST(ShardFrames, HealthFieldsRoundTrip)
     health.canon_memo_misses = 20;
     health.retrieval_probes_exact = 21;
     health.retrieval_candidates_exact = 22;
-    health.retrieval_probes_lsh = 23;
-    health.retrieval_candidates_lsh = 24;
-    health.retrieval_lsh_exact_work = 25;
-    health.sketch_seconds = 0.75;
     health.resume_rejected = true;
     health.resume_reject_reason = "fingerprint \"mismatch\"\n";
     health.index_seconds = 2.5;
@@ -280,12 +276,6 @@ TEST(ShardFrames, HealthFieldsRoundTrip)
               health.retrieval_probes_exact);
     EXPECT_EQ(back.retrieval_candidates_exact,
               health.retrieval_candidates_exact);
-    EXPECT_EQ(back.retrieval_probes_lsh, health.retrieval_probes_lsh);
-    EXPECT_EQ(back.retrieval_candidates_lsh,
-              health.retrieval_candidates_lsh);
-    EXPECT_EQ(back.retrieval_lsh_exact_work,
-              health.retrieval_lsh_exact_work);
-    EXPECT_EQ(back.sketch_seconds, health.sketch_seconds);
     EXPECT_EQ(back.resume_rejected, health.resume_rejected);
     EXPECT_EQ(back.resume_reject_reason, health.resume_reject_reason);
     EXPECT_EQ(back.index_seconds, health.index_seconds);
