@@ -129,7 +129,7 @@ main()
     const auto &qr = qi.procs[static_cast<std::size_t>(q)].repr;
     const auto &tr = ti.procs[static_cast<std::size_t>(t)].repr;
     std::printf("canonical strands: query=%zu target=%zu shared=%d\n",
-                qr.hashes.size(), tr.hashes.size(),
+                qr.hash_count(), tr.hash_count(),
                 sim::sim_score(qr, tr));
     std::printf("\npaper reference: the Fig. 1 snippets share zero "
                 "assembly lines yet are the same procedure;\nshape to "

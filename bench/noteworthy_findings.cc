@@ -128,7 +128,7 @@ main()
         table.add_row(
             {version, std::to_string(outcome.sim),
              eval::percent(static_cast<double>(outcome.sim) /
-                           static_cast<double>(q_repr.hashes.size()))});
+                           static_cast<double>(q_repr.hash_count()))});
     }
     std::printf("%s\n", table.render().c_str());
     std::printf("paper reference: 14 FPs, all from 1.15-vs-1.12 version "

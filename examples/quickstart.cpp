@@ -119,7 +119,7 @@ main()
     std::printf("Sim(check@gcc, check@vendor) = %d "
                 "(of %zu / %zu strands)\n",
                 sim::sim_score(a.procs[0].repr, b.procs[0].repr),
-                a.procs[0].repr.hashes.size(),
-                b.procs[0].repr.hashes.size());
+                a.procs[0].repr.hash_count(),
+                b.procs[0].repr.hash_count());
     return 0;
 }

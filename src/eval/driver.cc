@@ -297,7 +297,8 @@ Driver::build_query_impl(const std::string &package,
     if (store != nullptr) {
         sim::IndexCacheStore::LoadStats load_stats;
         const auto load_start = std::chrono::steady_clock::now();
-        auto loaded = store->load(recipe, options_.mmap_index, &load_stats);
+        auto loaded =
+            store->load(recipe, /*use_mmap=*/true, &load_stats);
         const double load_seconds = seconds_since(load_start);
         health_.cache_load_seconds += load_seconds;
         fold_load_split(health_, load_stats);
@@ -469,7 +470,7 @@ Driver::index_target(const loader::Executable &exe, std::uint64_t key)
     if (sim::IndexCacheStore *store = cache_store()) {
         sim::IndexCacheStore::LoadStats load_stats;
         const auto load_start = std::chrono::steady_clock::now();
-        auto loaded = store->load(key, options_.mmap_index, &load_stats);
+        auto loaded = store->load(key, /*use_mmap=*/true, &load_stats);
         const double load_seconds = seconds_since(load_start);
         health_.cache_load_seconds += load_seconds;
         fold_load_split(health_, load_stats);
@@ -613,7 +614,6 @@ Driver::index_many(const std::vector<KeyedExe> &work, unsigned threads)
     const strand::CanonOptions canon = canon_options();
     sim::IndexCacheStore *const store = cache_store();
     sim::ResidentIndexCache *const resident = options_.resident_cache;
-    const bool use_mmap = options_.mmap_index;
     const CancelToken *const cancel = options_.cancel;
     const RetryPolicy retry_policy{options_.max_target_retries,
                                    options_.retry_backoff_seconds};
@@ -642,7 +642,7 @@ Driver::index_many(const std::vector<KeyedExe> &work, unsigned threads)
             if (store != nullptr) {
                 const auto load_start =
                     std::chrono::steady_clock::now();
-                auto loaded = store->load(key, use_mmap,
+                auto loaded = store->load(key, /*use_mmap=*/true,
                                           &slots[i].load_stats);
                 slots[i].load_seconds = seconds_since(load_start);
                 if (loaded.ok()) {

@@ -67,20 +67,12 @@ struct SearchOptions
     bool canon_memo = true;
     /**
      * When non-empty, a persistent content-addressed index cache
-     * directory (sim::IndexCacheStore): finalized FWIX v2 indexes are
+     * directory (sim::IndexCacheStore): finalized FWIX v6 indexes are
      * loaded from it before lifting and written back after indexing, so
      * the second scan of an immutable corpus skips lift+canon+finalize
      * entirely. Corrupt or stale entries degrade to misses.
      */
     std::string index_cache_dir;
-    /**
-     * Serve persistent-store entries through the FWIX v6 mmap view path
-     * (zero-copy open: checksum pass + O(procs) materialization) when
-     * the host supports it. False is the --no-mmap ablation baseline:
-     * the copying parser streams every arena into owning vectors.
-     * Findings are bit-identical either way.
-     */
-    bool mmap_index = true;
     /**
      * Optional process-wide resident index cache (not owned). When set,
      * deserialized/mapped target indexes are published here under their
@@ -368,7 +360,7 @@ class Driver
      * Per-driver target-index cache. Values are shared_ptr so one
      * deserialized index can simultaneously live here, in the process
      * ResidentIndexCache, and in an in-flight scan — eviction anywhere
-     * drops a reference, never the index (or the mmap view behind it).
+     * drops a reference, never the index (or the arena behind it).
      */
     std::map<std::uint64_t, std::shared_ptr<const sim::ExecutableIndex>>
         index_cache_;

@@ -80,11 +80,10 @@ struct ScanHealth
 
     /**
      * cache_load_seconds split by stage (sim::IndexCacheStore::
-     * LoadStats): open (file open + read, or mmap), checksum (the
-     * container guards over the payload) and parse (view open or
-     * copying parse). The split is what makes the mmap win legible —
-     * a v6 view open collapses parse to ~O(procs) while checksum stays.
-     * cache_mmap_loads counts loads served by the zero-copy view.
+     * LoadStats): open (file open + mmap, or read), checksum (the
+     * container guards over the payload) and parse (the view open,
+     * ~O(procs)). cache_mmap_loads counts loads served by a view over
+     * a mapping rather than a read-in buffer.
      */
     double cache_open_seconds = 0.0;
     double cache_checksum_seconds = 0.0;

@@ -501,7 +501,6 @@ run_shard_worker(const ShardWorkerOptions &options)
 
     SearchOptions sopt;
     sopt.index_cache_dir = options.index_cache_dir;
-    sopt.mmap_index = options.mmap_index;
     sopt.journal_path = options.journal_path;
     sopt.resume = !options.journal_path.empty();
     sim::ResidentIndexCache resident(options.resident_cache_mb * 1024 *
@@ -615,9 +614,6 @@ worker_args(const ShardScanOptions &options, std::size_t shard,
     if (!options.index_cache_dir.empty()) {
         args.push_back("--index-cache");
         args.push_back(options.index_cache_dir);
-    }
-    if (!options.mmap_index) {
-        args.push_back("--no-mmap");
     }
     if (options.resident_cache_mb > 0) {
         args.push_back("--resident-cache-mb");

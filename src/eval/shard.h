@@ -139,7 +139,6 @@ struct ShardScanOptions
      */
     std::string state_dir;
     std::string index_cache_dir;  ///< shared FWIX store ("" = none)
-    bool mmap_index = true;
     std::size_t resident_cache_mb = 0;  ///< per-worker resident budget
     /** Stall deadline: no frame from a worker for this long => respawn. */
     double heartbeat_seconds = 30.0;
@@ -179,7 +178,6 @@ struct ShardWorkerOptions
     std::vector<std::string> blob_paths;
     std::string journal_path;
     std::string index_cache_dir;
-    bool mmap_index = true;
     std::size_t resident_cache_mb = 0;
     double heartbeat_seconds = 30.0;
     /** Test seams (see ShardScanOptions). */

@@ -51,79 +51,61 @@ IndexCacheStore::load(std::uint64_t content_key, bool use_mmap,
                       LoadStats *stats) const
 {
     LoadStats local;
+    const auto finish = [&](Result<ExecutableIndex> result) {
+        if (stats != nullptr) {
+            *stats = local;
+        }
+        return result;
+    };
     const std::string path = path_for(content_key);
-    if (use_mmap && open_view_supported()) {
-        auto t0 = std::chrono::steady_clock::now();
-        auto mapped = MappedFile::map(path);
-        local.open_seconds = seconds_since(t0);
-        if (mapped.ok()) {
+    std::shared_ptr<const void> backing;
+    const std::uint8_t *bytes = nullptr;
+    std::size_t size = 0;
+    bool mapped_file = false;
+    auto t0 = std::chrono::steady_clock::now();
+    if (use_mmap) {
+        if (auto mapped = MappedFile::map(path); mapped.ok()) {
             auto file =
                 std::make_shared<MappedFile>(std::move(mapped).take());
-            const std::uint8_t *bytes = file->data();
-            const std::size_t size = file->size();
-            t0 = std::chrono::steady_clock::now();
-            auto guard = check_container(bytes, size);
-            local.checksum_seconds = seconds_since(t0);
-            if (!guard.ok()) {
-                if (stats != nullptr) {
-                    *stats = local;
-                }
-                return Result<ExecutableIndex>::error_from(guard);
-            }
-            t0 = std::chrono::steady_clock::now();
-            auto view = open_index_view(bytes, size, file,
-                                        /*checked=*/true);
-            local.parse_seconds = seconds_since(t0);
-            if (view.ok()) {
-                local.mapped = true;
-                if (stats != nullptr) {
-                    *stats = local;
-                }
-                return view;
-            }
-            // A checksum-valid blob the view cannot serve (e.g. one
-            // serialized from a never-finalized index): fall through to
-            // the copying parser, which either materializes it or
-            // produces the authoritative error.
+            bytes = file->data();
+            size = file->size();
+            backing = std::move(file);
+            mapped_file = true;
         }
-        // Missing file falls through too: the ifstream path issues the
-        // canonical "index cache miss" IoError.
     }
-    auto t0 = std::chrono::steady_clock::now();
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        if (stats != nullptr) {
-            *stats = local;
+    if (backing == nullptr) {
+        // Unmapped (by request, or the map failed — a missing file
+        // lands here and issues the canonical miss): read the entry
+        // into a heap buffer and view that.
+        std::ifstream in(path, std::ios::binary);
+        if (!in) {
+            return finish(Result<ExecutableIndex>::error(
+                ErrorCode::IoError, "index cache miss: " + path));
         }
-        return Result<ExecutableIndex>::error(
-            ErrorCode::IoError, "index cache miss: " + path);
-    }
-    ByteBuffer bytes((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    if (in.bad()) {
-        if (stats != nullptr) {
-            *stats = local;
+        auto buffer = std::make_shared<ByteBuffer>(
+            (std::istreambuf_iterator<char>(in)),
+            std::istreambuf_iterator<char>());
+        if (in.bad()) {
+            return finish(Result<ExecutableIndex>::error(
+                ErrorCode::IoError, "index cache read failed: " + path));
         }
-        return Result<ExecutableIndex>::error(
-            ErrorCode::IoError, "index cache read failed: " + path);
+        bytes = buffer->data();
+        size = buffer->size();
+        backing = std::move(buffer);
     }
-    local.open_seconds += seconds_since(t0);
+    local.open_seconds = seconds_since(t0);
     t0 = std::chrono::steady_clock::now();
-    auto guard = check_container(bytes.data(), bytes.size());
-    local.checksum_seconds += seconds_since(t0);
+    auto guard = check_container(bytes, size);
+    local.checksum_seconds = seconds_since(t0);
     if (!guard.ok()) {
-        if (stats != nullptr) {
-            *stats = local;
-        }
-        return Result<ExecutableIndex>::error_from(guard);
+        return finish(Result<ExecutableIndex>::error_from(guard));
     }
     t0 = std::chrono::steady_clock::now();
-    auto parsed = parse_index(bytes);
-    local.parse_seconds += seconds_since(t0);
-    if (stats != nullptr) {
-        *stats = local;
-    }
-    return parsed;
+    auto view = open_index_view(bytes, size, std::move(backing),
+                                /*checked=*/true);
+    local.parse_seconds = seconds_since(t0);
+    local.mapped = mapped_file && view.ok();
+    return finish(std::move(view));
 }
 
 Result<std::size_t>

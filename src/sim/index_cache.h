@@ -12,19 +12,19 @@
  * entry, the section 5.2 observation). A warm scan loads `search_ready`
  * indexes — procedure strand sets, CSR postings and block summaries —
  * straight from disk and skips lift + canonicalize + finalize entirely;
- * entries written by older layouts (e.g. FWIX v5) fail the parse guards
+ * entries written by older layouts (e.g. FWIX v5) fail the FWIX guards
  * as StaleFormat and are transparently re-indexed.
  *
  * Two tiers sit above the disk bytes:
  *
- *  - the **mmap view path**: the v6 flat layout lets load() map an
- *    entry and hand back an ExecutableIndex that *views* the mapped
- *    arenas (open_index_view) after a checksum pass — no vector
- *    materialization. The mapping is pinned by the index's `backing`
- *    and unmapped when the last copy drops it. `use_mmap = false` (the
- *    --no-mmap ablation) or any view-open failure falls back to the
- *    copying parser.
- *  - the **ResidentIndexCache**: a byte-budgeted LRU of deserialized
+ *  - the **view open**: an FWIX v6 entry is the index's own in-memory
+ *    form (sim/persist.h), so load() maps the entry and hands back an
+ *    ExecutableIndex that *views* the mapped arenas (open_index_view)
+ *    after a checksum pass — no vector materialization. The mapping is
+ *    pinned by the index's `backing` and unmapped when the last copy
+ *    drops it. When the map fails the file is read into a heap buffer
+ *    and the same view is opened over that.
+ *  - the **ResidentIndexCache**: a byte-budgeted LRU of loaded or built
  *    indexes keyed by content key, shared across scans within one
  *    process, so back-to-back hunts skip even the open+checksum.
  *
@@ -58,9 +58,9 @@ class IndexCacheStore
   public:
     /**
      * Per-load timing attribution for ScanHealth's cache_load split:
-     * open (file open + read or mmap), checksum (the container guards),
-     * parse (view open or copying parse). `mapped` records which load
-     * path actually served the bytes — the view can fall back.
+     * open (file open + mmap, or read), checksum (the container guards),
+     * parse (the view open). `mapped` records whether the served view
+     * is over a mapping rather than a read-in buffer.
      */
     struct LoadStats
     {
@@ -83,26 +83,20 @@ class IndexCacheStore
     std::string path_for(std::uint64_t content_key) const;
 
     /**
-     * Load the entry for @p content_key. With @p use_mmap (and a host
-     * where open_view_supported()), the entry is mapped and opened as a
-     * zero-copy view whose mapping lives exactly as long as the
-     * returned index (or any copy of it); otherwise the bytes are read
-     * and parsed into an owning index. Errors: IoError when the entry
-     * does not exist or cannot be read; MalformedContainer /
-     * TruncatedMember / StaleFormat when it fails the FWIX guards.
-     * All of them mean "cache miss" to the caller.
+     * Load the entry for @p content_key as a view over its bytes: the
+     * mapped file with @p use_mmap, a read-in heap buffer without it or
+     * when the map fails. Either way the bytes live exactly as long as
+     * the returned index (or any copy of it). Errors: IoError when the
+     * entry does not exist or cannot be read; MalformedContainer /
+     * TruncatedMember / StaleFormat when it fails the FWIX guards. All
+     * of them mean "cache miss" to the caller.
      */
-    Result<ExecutableIndex> load(std::uint64_t content_key, bool use_mmap,
+    Result<ExecutableIndex> load(std::uint64_t content_key,
+                                 bool use_mmap = true,
                                  LoadStats *stats = nullptr) const;
 
-    /** Copying-parser convenience overload (no mmap, no stats). */
-    Result<ExecutableIndex> load(std::uint64_t content_key) const
-    {
-        return load(content_key, false, nullptr);
-    }
-
     /**
-     * Serialize @p index and atomically publish it as the entry for
+     * Write @p index's arena and atomically publish it as the entry for
      * @p content_key (write temp + fsync + rename + fsync parent dir).
      * Safe to call from worker threads. @return bytes written.
      */
@@ -114,13 +108,13 @@ class IndexCacheStore
 };
 
 /**
- * Process-wide LRU of deserialized (or mapped) indexes, keyed by
+ * Process-wide LRU of indexes, keyed by
  * content key, bounded by a byte budget measured with
  * ExecutableIndex::memory_bytes().
  *
  * Shared-ownership pin contract: get() hands out shared_ptrs, and
- * eviction only drops the cache's own reference — an index (and, in
- * view mode, the file mapping behind it) stays fully valid for as long
+ * eviction only drops the cache's own reference — an index (and the
+ * arena or file mapping behind it) stays fully valid for as long
  * as any caller still holds it, even if it is evicted mid-scan. There
  * is therefore no "in use" bookkeeping and no way for the budget knob
  * to change scan findings: a smaller budget only converts resident hits

@@ -5,10 +5,16 @@
 #include <string_view>
 
 #include "support/hash.h"
+#include "support/trace.h"
 
 namespace firmup::sim {
 
 namespace {
+
+const trace::Counter c_finalize_calls("index.finalize_calls");
+const trace::Counter c_posting_hashes("index.posting_hashes");
+const trace::Counter c_posting_incidences("index.posting_incidences");
+const trace::Counter c_indexed_procs("index.procedures");
 
 constexpr std::uint8_t kMagic[4] = {'F', 'W', 'I', 'X'};
 
@@ -87,32 +93,33 @@ truncated(const std::string &what)
                                           "fwix: truncated " + what);
 }
 
-/** Backpatch a u64 little-endian at a fixed position. */
-void
-poke_u64(ByteBuffer &out, std::size_t at, std::uint64_t value)
+/**
+ * Host-order word access. Every word of the blob — header, directory,
+ * proc table and arenas — is host-order, so the view reads arena words
+ * in place on any host (the bytes are the historical little-endian ones
+ * on little-endian hosts). memcpy keeps the scalar reads
+ * alignment-agnostic; the arenas themselves are aligned by construction.
+ */
+template <typename T>
+T
+get(const std::uint8_t *p)
 {
-    for (int i = 0; i < 8; ++i) {
-        out[at + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(value >> (8 * i));
-    }
+    T value;
+    std::memcpy(&value, p, sizeof value);
+    return value;
 }
 
+template <typename T>
 void
-poke_u32(ByteBuffer &out, std::size_t at, std::uint32_t value)
+put(std::uint8_t *p, T value)
 {
-    for (int i = 0; i < 4; ++i) {
-        out[at + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(value >> (8 * i));
-    }
+    std::memcpy(p, &value, sizeof value);
 }
 
-/** Append zero bytes until out.size() is a multiple of @p align. */
-void
-pad_to(ByteBuffer &out, std::size_t align)
+constexpr std::size_t
+align8(std::size_t n)
 {
-    while (out.size() % align != 0) {
-        out.push_back(0);
-    }
+    return (n + 7) & ~std::size_t{7};
 }
 
 /**
@@ -122,7 +129,6 @@ pad_to(ByteBuffer &out, std::size_t align)
 struct Directory
 {
     isa::Arch arch = isa::Arch::Mips32;
-    bool ready = false;
     std::uint32_t proc_count = 0;
     std::uint64_t name_off = 0, name_len = 0;
     std::uint64_t names_off = 0, names_len = 0;
@@ -137,7 +143,7 @@ struct Directory
  * Decode + validate the directory. Memory-safety contract: on success,
  * every arena [off, off + count * elem) lies within [kDirEnd, size) with
  * the alignment its element type needs, so arena pointers handed out by
- * the view path can never read out of bounds.
+ * the view can never read out of bounds.
  */
 Result<ExecutableIndex>
 read_directory(const std::uint8_t *bytes, std::size_t size, Directory &dir,
@@ -147,11 +153,11 @@ read_directory(const std::uint8_t *bytes, std::size_t size, Directory &dir,
     if (size < kDirEnd) {
         return truncated("directory");
     }
-    if (read_u64_le(bytes + kDirTotalSize) != size) {
+    if (get<std::uint64_t>(bytes + kDirTotalSize) != size) {
         return malformed("total size mismatch");
     }
-    if (read_u16_le(bytes + kHeaderSize) != 0 ||
-        read_u16_le(bytes + kDirPad) != 0) {
+    if (get<std::uint16_t>(bytes + kHeaderSize) != 0 ||
+        get<std::uint16_t>(bytes + kDirPad) != 0) {
         return malformed("bad padding");
     }
     const std::uint8_t arch_byte = bytes[kDirArch];
@@ -163,21 +169,25 @@ read_directory(const std::uint8_t *bytes, std::size_t size, Directory &dir,
     if ((flags & ~kDirFlagReady) != 0) {
         return malformed("bad header flags");
     }
-    dir.ready = (flags & kDirFlagReady) != 0;
-    dir.proc_count = read_u32_le(bytes + kDirProcCount);
-    dir.name_off = read_u64_le(bytes + kDirNameOff);
-    dir.name_len = read_u64_le(bytes + kDirNameLen);
-    dir.names_off = read_u64_le(bytes + kDirNamesOff);
-    dir.names_len = read_u64_le(bytes + kDirNamesLen);
-    dir.proc_table_off = read_u64_le(bytes + kDirProcTableOff);
-    dir.hashes_off = read_u64_le(bytes + kDirHashesOff);
-    dir.hashes_count = read_u64_le(bytes + kDirHashesCount);
-    dir.ph_off = read_u64_le(bytes + kDirPhOff);
-    dir.ph_count = read_u64_le(bytes + kDirPhCount);
-    dir.po_off = read_u64_le(bytes + kDirPoOff);
-    dir.po_count = read_u64_le(bytes + kDirPoCount);
-    dir.pp_off = read_u64_le(bytes + kDirPpOff);
-    dir.pp_count = read_u64_le(bytes + kDirPpCount);
+    if ((flags & kDirFlagReady) == 0) {
+        // Every writer packs a finalized index; a blob without postings
+        // is not one this build produced.
+        return malformed("blob is not search-ready");
+    }
+    dir.proc_count = get<std::uint32_t>(bytes + kDirProcCount);
+    dir.name_off = get<std::uint64_t>(bytes + kDirNameOff);
+    dir.name_len = get<std::uint64_t>(bytes + kDirNameLen);
+    dir.names_off = get<std::uint64_t>(bytes + kDirNamesOff);
+    dir.names_len = get<std::uint64_t>(bytes + kDirNamesLen);
+    dir.proc_table_off = get<std::uint64_t>(bytes + kDirProcTableOff);
+    dir.hashes_off = get<std::uint64_t>(bytes + kDirHashesOff);
+    dir.hashes_count = get<std::uint64_t>(bytes + kDirHashesCount);
+    dir.ph_off = get<std::uint64_t>(bytes + kDirPhOff);
+    dir.ph_count = get<std::uint64_t>(bytes + kDirPhCount);
+    dir.po_off = get<std::uint64_t>(bytes + kDirPoOff);
+    dir.po_count = get<std::uint64_t>(bytes + kDirPoCount);
+    dir.pp_off = get<std::uint64_t>(bytes + kDirPpOff);
+    dir.pp_count = get<std::uint64_t>(bytes + kDirPpCount);
 
     // Overflow-safe "arena fits": off within the blob, aligned, and
     // count * elem representable within the remaining bytes.
@@ -206,13 +216,9 @@ read_directory(const std::uint8_t *bytes, std::size_t size, Directory &dir,
         !arena_ok(dir.pp_off, dir.pp_count, 4, 4)) {
         return truncated("posting arena");
     }
-    if (dir.ready) {
-        if (dir.po_count != dir.ph_count + 1) {
-            return malformed("inconsistent posting shape");
-        }
-    } else if (dir.ph_count != 0 || dir.po_count != 0 ||
-               dir.pp_count != 0) {
-        return malformed("posting state without ready flag");
+    if (dir.po_count != dir.ph_count + 1 ||
+        dir.ph_count > UINT32_MAX || dir.pp_count > UINT32_MAX) {
+        return malformed("inconsistent posting shape");
     }
     *ok = true;
     return malformed("unreachable");  // discarded when *ok
@@ -241,19 +247,19 @@ read_proc_rec(const std::uint8_t *bytes, const Directory &dir,
     const std::uint8_t *p =
         bytes + dir.proc_table_off +
         static_cast<std::size_t>(i) * kProcRecSize;
-    rec.entry = read_u64_le(p + kProcEntry);
-    rec.hash_off = read_u64_le(p + kProcHashOff);
-    rec.hash_count = read_u32_le(p + kProcHashCount);
-    rec.name_off = read_u32_le(p + kProcNameOff);
-    rec.name_len = read_u32_le(p + kProcNameLen);
-    rec.block_count = read_u32_le(p + kProcBlocks);
-    rec.stmt_count = read_u32_le(p + kProcStmts);
-    const std::uint32_t flags = read_u32_le(p + kProcFlags);
+    rec.entry = get<std::uint64_t>(p + kProcEntry);
+    rec.hash_off = get<std::uint64_t>(p + kProcHashOff);
+    rec.hash_count = get<std::uint32_t>(p + kProcHashCount);
+    rec.name_off = get<std::uint32_t>(p + kProcNameOff);
+    rec.name_len = get<std::uint32_t>(p + kProcNameLen);
+    rec.block_count = get<std::uint32_t>(p + kProcBlocks);
+    rec.stmt_count = get<std::uint32_t>(p + kProcStmts);
+    const std::uint32_t flags = get<std::uint32_t>(p + kProcFlags);
     if ((flags & ~kProcFlagSummary) != 0) {
         return malformed("bad proc flags");
     }
     rec.summary = (flags & kProcFlagSummary) != 0;
-    if (read_u32_le(p + kProcPad) != 0) {
+    if (get<std::uint32_t>(p + kProcPad) != 0) {
         return malformed("bad proc padding");
     }
     // Hash span: absolute, 8-aligned, wholly inside the hash arena.
@@ -269,11 +275,12 @@ read_proc_rec(const std::uint8_t *bytes, const Directory &dir,
         return truncated("proc name span");
     }
     for (unsigned w = 0; w < 4; ++w) {
-        rec.bucket_bits[w] = read_u64_le(p + kProcBucketBits + 8 * w);
+        rec.bucket_bits[w] = get<std::uint64_t>(p + kProcBucketBits + 8 * w);
     }
     std::uint32_t prev = 0;
     for (unsigned w = 0; w < 5; ++w) {
-        rec.word_offsets[w] = read_u32_le(p + kProcWordOffsets + 4 * w);
+        rec.word_offsets[w] =
+            get<std::uint32_t>(p + kProcWordOffsets + 4 * w);
         if (rec.word_offsets[w] < prev) {
             return malformed("unsorted summary offsets");
         }
@@ -301,37 +308,33 @@ read_proc_rec(const std::uint8_t *bytes, const Directory &dir,
 }
 
 /**
- * CSR posting safety scan, shared by both load paths: offsets start at
- * 0, never decrease, end exactly at pp_count, and every procedure index
- * is in range. These bound every downstream posting walk (e.g. the
- * per-procedure accumulators in shared_candidates), so they are
- * mandatory even on the zero-copy path. Strict ascending order of the
- * posting *hashes* is a semantic property the checksum vouches for; the
- * copying parser re-checks it (it is touching every byte anyway), the
- * view path does not.
+ * CSR posting safety scan: offsets start at 0, never decrease, end
+ * exactly at pp_count, and every procedure index is in range. These
+ * bound every downstream posting walk (e.g. the per-procedure
+ * accumulators in shared_candidates), so they are mandatory even though
+ * the view copies nothing. Strict ascending order of the posting
+ * *hashes* is a semantic property the checksum vouches for and is not
+ * re-scanned.
  */
 bool
 postings_safe(const std::uint8_t *bytes, const Directory &dir)
 {
-    if (!dir.ready) {
-        return true;
-    }
     const std::uint8_t *po = bytes + dir.po_off;
     std::uint32_t prev = 0;
     for (std::uint64_t i = 0; i < dir.po_count; ++i) {
-        const std::uint32_t o = read_u32_le(po + 4 * i);
+        const std::uint32_t o = get<std::uint32_t>(po + 4 * i);
         if (o < prev) {
             return false;
         }
         prev = o;
     }
-    if (read_u32_le(po) != 0 ||
-        read_u32_le(po + 4 * (dir.po_count - 1)) != dir.pp_count) {
+    if (get<std::uint32_t>(po) != 0 ||
+        get<std::uint32_t>(po + 4 * (dir.po_count - 1)) != dir.pp_count) {
         return false;
     }
     const std::uint8_t *pp = bytes + dir.pp_off;
     for (std::uint64_t i = 0; i < dir.pp_count; ++i) {
-        if (read_u32_le(pp + 4 * i) >= dir.proc_count) {
+        if (get<std::uint32_t>(pp + 4 * i) >= dir.proc_count) {
             return false;
         }
     }
@@ -350,6 +353,149 @@ rebuild_maps(ExecutableIndex &index)
         index.name_map.emplace(index.procs[i].name,
                                static_cast<int>(i));
     }
+}
+
+/** True when @p repr is an owning set that is not sorted and unique. */
+bool
+needs_normalizing(const strand::ProcedureStrands &repr)
+{
+    return repr.hash_view == nullptr &&
+           std::adjacent_find(repr.hashes.begin(), repr.hashes.end(),
+                              [](std::uint64_t a, std::uint64_t b) {
+                                  return a >= b;
+                              }) != repr.hashes.end();
+}
+
+/**
+ * Pack @p index — procedures, their hash sets and the CSR postings built
+ * from them — into one FWIX v6 blob, checksum included. The only arena
+ * writer: finalize() opens its output as the index itself and
+ * serialize_index() returns it. Hand-built sets that are not a flat set
+ * are sorted and deduplicated first; each procedure's owning hash
+ * vector is released once its hashes are packed.
+ */
+ByteBuffer
+pack_arena(ExecutableIndex &index)
+{
+    const std::size_t proc_count = index.procs.size();
+    std::size_t total_hashes = 0;
+    std::size_t names_len = 0;
+    for (ProcEntry &proc : index.procs) {
+        if (needs_normalizing(proc.repr)) {
+            proc.repr.finalize();
+        }
+        total_hashes += proc.repr.hash_count();
+        names_len += proc.name.size();
+    }
+    // CSR inverted index: one (hash, proc) incidence per strand, sorted
+    // by hash then procedure so every posting list is ascending.
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> incidences;
+    incidences.reserve(total_hashes);
+    for (std::size_t i = 0; i < proc_count; ++i) {
+        const std::uint64_t *h = index.procs[i].repr.hash_data();
+        const std::uint64_t *he = h + index.procs[i].repr.hash_count();
+        for (; h != he; ++h) {
+            incidences.emplace_back(*h, static_cast<std::uint32_t>(i));
+        }
+    }
+    std::sort(incidences.begin(), incidences.end());
+    std::size_t distinct = 0;
+    for (std::size_t k = 0; k < incidences.size(); ++k) {
+        distinct += k == 0 || incidences[k].first != incidences[k - 1].first;
+    }
+
+    // Arena offsets: names byte-packed, everything typed 8-aligned (the
+    // 96-byte proc table keeps the hash arena aligned; the u32 posting
+    // arrays follow the u64 ones).
+    const std::size_t name_off = kDirEnd;
+    const std::size_t names_off = align8(name_off + index.name.size());
+    const std::size_t table_off = align8(names_off + names_len);
+    const std::size_t hashes_off = table_off + proc_count * kProcRecSize;
+    const std::size_t ph_off = hashes_off + total_hashes * 8;
+    const std::size_t po_off = ph_off + distinct * 8;
+    const std::size_t pp_off = po_off + (distinct + 1) * 4;
+    const std::size_t size = pp_off + incidences.size() * 4;
+
+    ByteBuffer out(size, 0);
+    std::uint8_t *b = out.data();
+    std::memcpy(b, kMagic, sizeof kMagic);
+    put<std::uint16_t>(b + 4, kFwixVersion);
+    put<std::uint64_t>(b + 6, fwix_layout_hash());
+    put<std::uint64_t>(b + kDirTotalSize, size);
+    b[kDirArch] = static_cast<std::uint8_t>(index.arch);
+    b[kDirFlags] = kDirFlagReady;
+    put<std::uint32_t>(b + kDirProcCount,
+                       static_cast<std::uint32_t>(proc_count));
+    put<std::uint64_t>(b + kDirNameOff, name_off);
+    put<std::uint64_t>(b + kDirNameLen, index.name.size());
+    put<std::uint64_t>(b + kDirNamesOff, names_off);
+    put<std::uint64_t>(b + kDirNamesLen, names_len);
+    put<std::uint64_t>(b + kDirProcTableOff, table_off);
+    put<std::uint64_t>(b + kDirHashesOff, hashes_off);
+    put<std::uint64_t>(b + kDirHashesCount, total_hashes);
+    put<std::uint64_t>(b + kDirPhOff, ph_off);
+    put<std::uint64_t>(b + kDirPhCount, distinct);
+    put<std::uint64_t>(b + kDirPoOff, po_off);
+    put<std::uint64_t>(b + kDirPoCount, distinct + 1);
+    put<std::uint64_t>(b + kDirPpOff, pp_off);
+    put<std::uint64_t>(b + kDirPpCount, incidences.size());
+    std::memcpy(b + name_off, index.name.data(), index.name.size());
+
+    std::size_t name_at = 0;
+    std::size_t hash_at = hashes_off;
+    for (std::size_t i = 0; i < proc_count; ++i) {
+        ProcEntry &proc = index.procs[i];
+        std::uint8_t *rec = b + table_off + i * kProcRecSize;
+        const std::size_t count = proc.repr.hash_count();
+        put<std::uint64_t>(rec + kProcEntry, proc.entry);
+        put<std::uint64_t>(rec + kProcHashOff, hash_at);
+        put<std::uint32_t>(rec + kProcHashCount,
+                           static_cast<std::uint32_t>(count));
+        put<std::uint32_t>(rec + kProcNameOff,
+                           static_cast<std::uint32_t>(name_at));
+        put<std::uint32_t>(rec + kProcNameLen,
+                           static_cast<std::uint32_t>(proc.name.size()));
+        put<std::uint32_t>(rec + kProcBlocks,
+                           static_cast<std::uint32_t>(proc.repr.block_count));
+        put<std::uint32_t>(rec + kProcStmts,
+                           static_cast<std::uint32_t>(proc.repr.stmt_count));
+        if (proc.repr.summary_built) {
+            put<std::uint32_t>(rec + kProcFlags, kProcFlagSummary);
+            for (unsigned w = 0; w < 4; ++w) {
+                put<std::uint64_t>(rec + kProcBucketBits + 8 * w,
+                                   proc.repr.bucket_bits[w]);
+            }
+            for (unsigned w = 0; w < 5; ++w) {
+                put<std::uint32_t>(rec + kProcWordOffsets + 4 * w,
+                                   proc.repr.word_offsets[w]);
+            }
+        }
+        std::memcpy(b + names_off + name_at, proc.name.data(),
+                    proc.name.size());
+        name_at += proc.name.size();
+        if (count != 0) {
+            std::memcpy(b + hash_at, proc.repr.hash_data(), count * 8);
+        }
+        hash_at += count * 8;
+        std::vector<std::uint64_t>().swap(proc.repr.hashes);
+    }
+
+    std::size_t row = 0;
+    for (std::size_t k = 0; k < incidences.size(); ++k) {
+        const auto &[hash, proc] = incidences[k];
+        if (k == 0 || hash != incidences[k - 1].first) {
+            put<std::uint64_t>(b + ph_off + 8 * row, hash);
+            put<std::uint32_t>(b + po_off + 4 * row,
+                               static_cast<std::uint32_t>(k));
+            ++row;
+        }
+        put<std::uint32_t>(b + pp_off + 4 * k, proc);
+    }
+    put<std::uint32_t>(b + po_off + 4 * distinct,
+                       static_cast<std::uint32_t>(incidences.size()));
+    put<std::uint64_t>(b + 14,
+                       payload_checksum(b + kHeaderSize, size - kHeaderSize));
+    return out;
 }
 
 }  // namespace
@@ -377,121 +523,33 @@ fwix_layout_hash()
     return hash;
 }
 
+void
+ExecutableIndex::finalize()
+{
+    // The live spans may point into the current arena: pack first, and
+    // only then let the re-opened view replace it (and its backing).
+    auto buffer = std::make_shared<ByteBuffer>(pack_arena(*this));
+    auto opened = open_index_view(buffer->data(), buffer->size(), buffer,
+                                  /*checked=*/true);
+    FIRMUP_ASSERT(opened.ok(),
+                  "packed arena failed to open: " + opened.error_message());
+    *this = std::move(opened).take();
+    c_finalize_calls.add();
+    c_posting_hashes.add(posting_count);
+    c_posting_incidences.add(posting_incidences);
+    c_indexed_procs.add(procs.size());
+}
+
 ByteBuffer
 serialize_index(const ExecutableIndex &index)
 {
-    ByteBuffer out;
-    for (std::uint8_t byte : kMagic) {
-        out.push_back(byte);
+    if (index.arena != nullptr) {
+        return ByteBuffer(index.arena, index.arena + index.arena_bytes);
     }
-    append_u16_le(out, kFwixVersion);
-    append_u64_le(out, fwix_layout_hash());
-    append_u64_le(out, 0);  // checksum backpatched below
-    append_u16_le(out, 0);  // pad so the directory starts 8-aligned
-
-    // Zeroed directory; every field is backpatched once the arena
-    // offsets are known.
-    out.resize(kDirEnd, 0);
-    out[kDirArch] = static_cast<std::uint8_t>(index.arch);
-    out[kDirFlags] = index.search_ready ? kDirFlagReady : 0;
-    poke_u32(out, kDirProcCount,
-             static_cast<std::uint32_t>(index.procs.size()));
-
-    // Arena 1: executable name.
-    poke_u64(out, kDirNameOff, out.size());
-    poke_u64(out, kDirNameLen, index.name.size());
-    out.insert(out.end(), index.name.begin(), index.name.end());
-
-    // Arena 2: concatenated procedure names (per-proc u32 spans).
-    pad_to(out, 8);
-    const std::size_t names_off = out.size();
-    std::vector<std::uint32_t> proc_name_offs(index.procs.size());
-    for (std::size_t i = 0; i < index.procs.size(); ++i) {
-        proc_name_offs[i] =
-            static_cast<std::uint32_t>(out.size() - names_off);
-        out.insert(out.end(), index.procs[i].name.begin(),
-                   index.procs[i].name.end());
-    }
-    poke_u64(out, kDirNamesOff, names_off);
-    poke_u64(out, kDirNamesLen, out.size() - names_off);
-
-    // Arena 3: the packed proc table (hash offsets backpatched after
-    // the hash arena is laid out).
-    pad_to(out, 8);
-    const std::size_t proc_table_off = out.size();
-    poke_u64(out, kDirProcTableOff, proc_table_off);
-    out.resize(proc_table_off + index.procs.size() * kProcRecSize, 0);
-
-    // Arena 4: every procedure's hashes, concatenated.
-    const std::size_t hashes_off = out.size();  // 8-aligned: table end
-    for (std::size_t i = 0; i < index.procs.size(); ++i) {
-        const ProcEntry &proc = index.procs[i];
-        const std::size_t rec = proc_table_off + i * kProcRecSize;
-        poke_u64(out, rec + kProcEntry, proc.entry);
-        poke_u64(out, rec + kProcHashOff, out.size());
-        poke_u32(out, rec + kProcHashCount,
-                 static_cast<std::uint32_t>(proc.repr.hash_count()));
-        poke_u32(out, rec + kProcNameOff, proc_name_offs[i]);
-        poke_u32(out, rec + kProcNameLen,
-                 static_cast<std::uint32_t>(proc.name.size()));
-        poke_u32(out, rec + kProcBlocks,
-                 static_cast<std::uint32_t>(proc.repr.block_count));
-        poke_u32(out, rec + kProcStmts,
-                 static_cast<std::uint32_t>(proc.repr.stmt_count));
-        std::uint32_t flags = 0;
-        if (proc.repr.summary_built) {
-            flags |= kProcFlagSummary;
-            for (unsigned w = 0; w < 4; ++w) {
-                poke_u64(out, rec + kProcBucketBits + 8 * w,
-                         proc.repr.bucket_bits[w]);
-            }
-            for (unsigned w = 0; w < 5; ++w) {
-                poke_u32(out, rec + kProcWordOffsets + 4 * w,
-                         proc.repr.word_offsets[w]);
-            }
-        }
-        poke_u32(out, rec + kProcFlags, flags);
-        const std::uint64_t *hashes = proc.repr.hash_data();
-        for (std::size_t h = 0; h < proc.repr.hash_count(); ++h) {
-            append_u64_le(out, hashes[h]);
-        }
-    }
-    poke_u64(out, kDirHashesOff, hashes_off);
-    poke_u64(out, kDirHashesCount, (out.size() - hashes_off) / 8);
-
-    // Arenas 5-7: the CSR posting triple. The entry/name maps are not
-    // serialized — they are rebuilt in O(procs) at load, which keeps
-    // the blob byte-deterministic (unordered_map iteration order is
-    // not).
-    poke_u64(out, kDirPhOff, out.size());
-    if (index.search_ready) {
-        poke_u64(out, kDirPhCount, index.posting_hash_count());
-        const std::uint64_t *ph = index.posting_hash_data();
-        for (std::size_t i = 0; i < index.posting_hash_count(); ++i) {
-            append_u64_le(out, ph[i]);
-        }
-        poke_u64(out, kDirPoOff, out.size());
-        poke_u64(out, kDirPoCount, index.posting_hash_count() + 1);
-        const std::uint32_t *po = index.posting_offset_data();
-        for (std::size_t i = 0; i <= index.posting_hash_count(); ++i) {
-            append_u32_le(out, po[i]);
-        }
-        poke_u64(out, kDirPpOff, out.size());
-        poke_u64(out, kDirPpCount, index.posting_proc_count());
-        const std::uint32_t *pp = index.posting_proc_data();
-        for (std::size_t i = 0; i < index.posting_proc_count(); ++i) {
-            append_u32_le(out, pp[i]);
-        }
-    } else {
-        poke_u64(out, kDirPoOff, out.size());
-        poke_u64(out, kDirPpOff, out.size());
-    }
-
-    poke_u64(out, kDirTotalSize, out.size());
-    const std::uint64_t checksum = payload_checksum(
-        out.data() + kHeaderSize, out.size() - kHeaderSize);
-    poke_u64(out, 4 + 2 + 8, checksum);
-    return out;
+    // Never finalized (a hand-built index): pack a copy, so every blob
+    // carries its postings.
+    ExecutableIndex copy = index;
+    return pack_arena(copy);
 }
 
 Result<bool>
@@ -501,7 +559,7 @@ check_container(const std::uint8_t *bytes, std::size_t size)
         return Result<bool>::error(ErrorCode::MalformedContainer,
                                    "fwix: bad magic");
     }
-    const std::uint16_t version = read_u16_le(bytes + 4);
+    const std::uint16_t version = get<std::uint16_t>(bytes + 4);
     if (version != kFwixVersion) {
         return Result<bool>::error(
             ErrorCode::StaleFormat,
@@ -512,11 +570,11 @@ check_container(const std::uint8_t *bytes, std::size_t size)
         return Result<bool>::error(ErrorCode::TruncatedMember,
                                    "fwix: truncated header");
     }
-    if (read_u64_le(bytes + 6) != fwix_layout_hash()) {
+    if (get<std::uint64_t>(bytes + 6) != fwix_layout_hash()) {
         return Result<bool>::error(ErrorCode::StaleFormat,
                                    "fwix: stale layout hash");
     }
-    if (read_u64_le(bytes + 14) !=
+    if (get<std::uint64_t>(bytes + 14) !=
         payload_checksum(bytes + kHeaderSize, size - kHeaderSize)) {
         return Result<bool>::error(ErrorCode::MalformedContainer,
                                    "fwix: payload checksum mismatch");
@@ -525,121 +583,9 @@ check_container(const std::uint8_t *bytes, std::size_t size)
 }
 
 Result<ExecutableIndex>
-parse_index(const std::uint8_t *bytes, std::size_t size)
-{
-    auto checked = check_container(bytes, size);
-    if (!checked.ok()) {
-        return Result<ExecutableIndex>::error_from(checked);
-    }
-    Directory dir;
-    bool dir_ok = false;
-    auto dir_err = read_directory(bytes, size, dir, &dir_ok);
-    if (!dir_ok) {
-        return dir_err;
-    }
-
-    ExecutableIndex index;
-    index.arch = dir.arch;
-    index.name.assign(
-        reinterpret_cast<const char *>(bytes + dir.name_off),
-        dir.name_len);
-    index.procs.reserve(dir.proc_count);
-    for (std::uint32_t i = 0; i < dir.proc_count; ++i) {
-        ProcRec rec;
-        bool rec_ok = false;
-        auto rec_err = read_proc_rec(bytes, dir, i, rec, &rec_ok);
-        if (!rec_ok) {
-            return rec_err;
-        }
-        ProcEntry proc;
-        proc.entry = rec.entry;
-        proc.name.assign(reinterpret_cast<const char *>(
-                             bytes + dir.names_off + rec.name_off),
-                         rec.name_len);
-        proc.repr.block_count = rec.block_count;
-        proc.repr.stmt_count = rec.stmt_count;
-        proc.repr.hashes.reserve(rec.hash_count);
-        bool sorted = true;
-        for (std::uint32_t h = 0; h < rec.hash_count; ++h) {
-            const std::uint64_t value =
-                read_u64_le(bytes + rec.hash_off + 8ull * h);
-            sorted &= proc.repr.hashes.empty() ||
-                      proc.repr.hashes.back() < value;
-            proc.repr.add(value);
-        }
-        if (!sorted) {
-            // Only blobs serialized from hand-built, never-finalized
-            // indexes land here (the checksum vouches these are the
-            // bytes serialize_index wrote); restore the flat-set
-            // invariant for them.
-            proc.repr.finalize();
-        }
-        if (rec.summary) {
-            proc.repr.bucket_bits = rec.bucket_bits;
-            proc.repr.word_offsets = rec.word_offsets;
-            proc.repr.summary_built = true;
-        }
-        index.procs.push_back(std::move(proc));
-    }
-
-    if (!dir.ready) {
-        index.finalize();
-        return index;
-    }
-    if (!postings_safe(bytes, dir)) {
-        return malformed("inconsistent posting shape");
-    }
-    index.posting_hashes.reserve(dir.ph_count);
-    for (std::uint64_t i = 0; i < dir.ph_count; ++i) {
-        index.posting_hashes.push_back(
-            read_u64_le(bytes + dir.ph_off + 8 * i));
-    }
-    // Semantic re-check the view path skips: the posting hash union is
-    // strictly ascending. The copying parser touches every byte anyway,
-    // so it keeps the v2-era strictness.
-    for (std::size_t i = 1; i < index.posting_hashes.size(); ++i) {
-        if (index.posting_hashes[i] <= index.posting_hashes[i - 1]) {
-            return malformed("unsorted posting hashes");
-        }
-    }
-    index.posting_offsets.reserve(dir.po_count);
-    for (std::uint64_t i = 0; i < dir.po_count; ++i) {
-        index.posting_offsets.push_back(
-            read_u32_le(bytes + dir.po_off + 4 * i));
-    }
-    index.posting_procs.reserve(dir.pp_count);
-    for (std::uint64_t i = 0; i < dir.pp_count; ++i) {
-        index.posting_procs.push_back(
-            read_u32_le(bytes + dir.pp_off + 4 * i));
-    }
-    rebuild_maps(index);
-    index.search_ready = true;
-    return index;
-}
-
-Result<ExecutableIndex>
-parse_index(const ByteBuffer &bytes)
-{
-    return parse_index(bytes.data(), bytes.size());
-}
-
-bool
-open_view_supported()
-{
-#if defined(__BYTE_ORDER__) && defined(__ORDER_LITTLE_ENDIAN__)
-    return __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__;
-#else
-    return false;
-#endif
-}
-
-Result<ExecutableIndex>
 open_index_view(const std::uint8_t *bytes, std::size_t size,
                 std::shared_ptr<const void> backing, bool checked)
 {
-    if (!open_view_supported()) {
-        return malformed("view unsupported on this host");
-    }
     if (!checked) {
         auto guard = check_container(bytes, size);
         if (!guard.ok()) {
@@ -651,11 +597,6 @@ open_index_view(const std::uint8_t *bytes, std::size_t size,
     auto dir_err = read_directory(bytes, size, dir, &dir_ok);
     if (!dir_ok) {
         return dir_err;
-    }
-    if (!dir.ready) {
-        // A non-finalized blob needs finalize(), which builds vectors;
-        // callers fall back to the copying parser.
-        return malformed("view requires a search-ready blob");
     }
     if (!postings_safe(bytes, dir)) {
         return malformed("inconsistent posting shape");
@@ -691,19 +632,19 @@ open_index_view(const std::uint8_t *bytes, std::size_t size,
         }
         index.procs.push_back(std::move(proc));
     }
-    index.posting_hashes_view =
+    index.posting_hash_ptr =
         reinterpret_cast<const std::uint64_t *>(bytes + dir.ph_off);
-    index.posting_offsets_view =
+    index.posting_offset_ptr =
         reinterpret_cast<const std::uint32_t *>(bytes + dir.po_off);
-    index.posting_procs_view =
+    index.posting_proc_ptr =
         reinterpret_cast<const std::uint32_t *>(bytes + dir.pp_off);
-    index.posting_count_view = static_cast<std::uint32_t>(dir.ph_count);
-    index.posting_procs_count_view =
-        static_cast<std::uint32_t>(dir.pp_count);
+    index.posting_count = static_cast<std::uint32_t>(dir.ph_count);
+    index.posting_incidences = static_cast<std::uint32_t>(dir.pp_count);
     rebuild_maps(index);
     index.search_ready = true;
     index.backing = std::move(backing);
-    index.mapped_bytes = size;
+    index.arena = bytes;
+    index.arena_bytes = size;
     return index;
 }
 

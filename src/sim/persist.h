@@ -19,18 +19,15 @@
  * Format v6 is a fixed directory of absolute offsets pointing at typed
  * arenas (exe/proc names, a packed 96-byte procedure table, one hash
  * arena, the three CSR posting arrays), with every u64 arena 8-byte
- * aligned. Nothing is length-prefixed inline — the blob can be
- * consumed two ways:
- *
- *  - open_index_view(): hand an ExecutableIndex *views* into the blob
- *    (procedure hash sets and posting arrays point straight at the
- *    mapped bytes; only the O(procs) fixed-size state — entries, names,
- *    summaries — is materialized). This is the mmap warm
- *    path: opening an index costs a checksum pass plus O(procs), not a
- *    full re-parse into freshly allocated vectors.
- *  - parse_index(): the classic copying parser (the --no-mmap ablation
- *    baseline and the portability fallback for hosts where the direct
- *    view is unavailable — see open_view_supported()).
+ * aligned and every word in host byte order. Nothing is
+ * length-prefixed inline, so the blob is not just the on-disk form but
+ * the in-memory one too: ExecutableIndex::finalize() packs an index into
+ * a v6 arena and re-opens it through open_index_view(), the same routine
+ * a store load uses over the mapped (or read-in) file. Built, stored and
+ * loaded indexes are therefore one kind of object — procedure hash sets
+ * and posting arrays point into the arena, and only the O(procs)
+ * fixed-size state (entries, names, summaries) is materialized — and
+ * storing an index writes its arena bytes as they are.
  *
  * The header guards against stale or damaged blobs three ways:
  *
@@ -41,9 +38,11 @@
  *    descriptor, bumped whenever any field changes width or meaning, so
  *    a same-version blob written by an incompatible build is also
  *    rejected as stale,
- *  - a **payload checksum** (FNV-1a over every byte after the header),
- *    so bit flips, splices and truncations inside the payload are
- *    detected instead of producing a silently wrong index.
+ *  - a **payload checksum** (content_hash64 over every byte after the
+ *    header), so bit flips, splices and truncations inside the payload
+ *    are detected instead of producing a silently wrong index. The
+ *    checksum, like the word order, is host-local: a blob carried to a
+ *    host of the other endianness fails the guards and reads as a miss.
  *
  * Every failure path returns a clean Result error (MalformedContainer /
  * TruncatedMember / StaleFormat); callers treat any of them as a cache
@@ -69,42 +68,29 @@ inline constexpr std::uint16_t kFwixVersion = 6;
  */
 std::uint64_t fwix_layout_hash();
 
-/** Serialize @p index into the FWIX v6 binary format. */
+/**
+ * The FWIX v6 bytes of @p index: its arena as finalize() packed it (a
+ * copy, no re-pack). A never-finalized index is packed on a copy, so
+ * every blob is search-ready. Mutating a finalized index's procedures
+ * without re-running finalize() is not reflected here.
+ */
 ByteBuffer serialize_index(const ExecutableIndex &index);
 
 /**
  * Container-level guards alone: magic, version, layout hash and the
- * full payload checksum. Both consumers run this before touching the
- * payload; it is split out so the load path can attribute checksum time
- * separately from parse/open time (IndexCacheStore::LoadStats).
+ * full payload checksum. open_index_view() runs this unless told the
+ * caller already did; it is split out so the load path can attribute
+ * checksum time separately from open time (IndexCacheStore::LoadStats).
  */
 Result<bool> check_container(const std::uint8_t *bytes, std::size_t size);
-
-/**
- * Parse an FWIX v6 blob into an owning index (every arena copied into
- * vectors). A blob serialized from a finalized index parses straight to
- * `search_ready` (no finalize() re-run); one serialized from a
- * hand-built index is finalized on load. Runs check_container() first.
- */
-Result<ExecutableIndex> parse_index(const std::uint8_t *bytes,
-                                    std::size_t size);
-
-/** Convenience overload. */
-Result<ExecutableIndex> parse_index(const ByteBuffer &bytes);
-
-/**
- * True when this host can serve FWIX v6 views directly over mapped
- * bytes (little-endian byte order — the arenas are reinterpreted as
- * u64/u32 arrays in place). On other hosts open_index_view() fails and
- * callers fall back to parse_index().
- */
-bool open_view_supported();
 
 /**
  * Open a zero-copy *view* of an FWIX v6 blob: the returned index's
  * procedure hash sets and CSR posting arrays point into @p bytes, and
  * @p backing is retained on the index to pin those bytes alive for as
- * long as any copy of the index (or of its procedures) exists.
+ * long as any copy of the index exists (a copied procedure borrows the
+ * bytes; it is valid while a copy of its index lives). finalize() opens
+ * its freshly packed arena through this same routine.
  *
  * Validation contract: all container guards (check_container, run
  * here unless the caller already did — see @p checked) plus every
@@ -114,8 +100,8 @@ bool open_view_supported();
  * sortedness inside an arena) are not re-scanned; that O(payload) work
  * is exactly what the view path exists to skip.
  *
- * Only `search_ready` blobs are viewable (a non-finalized blob needs
- * finalize(), which mutates — callers fall back to parse_index()).
+ * A blob without the search-ready flag (no writer produces one) is
+ * MalformedContainer.
  */
 Result<ExecutableIndex> open_index_view(
     const std::uint8_t *bytes, std::size_t size,

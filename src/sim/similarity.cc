@@ -20,10 +20,6 @@ namespace firmup::sim {
 
 namespace {
 
-const trace::Counter c_finalize_calls("index.finalize_calls");
-const trace::Counter c_posting_hashes("index.posting_hashes");
-const trace::Counter c_posting_incidences("index.posting_incidences");
-const trace::Counter c_indexed_procs("index.procedures");
 const trace::Counter c_cand_exact("retrieval.candidates_exact");
 
 /**
@@ -402,60 +398,6 @@ simd_tier_name(SimdTier tier)
     return "scalar";
 }
 
-void
-ExecutableIndex::finalize()
-{
-    entry_map.clear();
-    name_map.clear();
-    entry_map.reserve(procs.size());
-    name_map.reserve(procs.size());
-    std::size_t total_hashes = 0;
-    for (std::size_t i = 0; i < procs.size(); ++i) {
-        // First occurrence wins, matching the linear-scan semantics.
-        entry_map.emplace(procs[i].entry, static_cast<int>(i));
-        name_map.emplace(procs[i].name, static_cast<int>(i));
-        total_hashes += procs[i].repr.hash_count();
-    }
-    // CSR inverted index: one (hash, proc) incidence per strand, sorted
-    // by hash then procedure so every posting list is ascending.
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> incidences;
-    incidences.reserve(total_hashes);
-    for (std::size_t i = 0; i < procs.size(); ++i) {
-        const std::uint64_t *h = procs[i].repr.hash_data();
-        const std::uint64_t *he = h + procs[i].repr.hash_count();
-        for (; h != he; ++h) {
-            incidences.emplace_back(*h, static_cast<std::uint32_t>(i));
-        }
-    }
-    std::sort(incidences.begin(), incidences.end());
-    // finalize() rebuilds owning posting vectors; if this index started
-    // as a blob view, the rebuilt vectors supersede the mapped arrays.
-    posting_hashes_view = nullptr;
-    posting_offsets_view = nullptr;
-    posting_procs_view = nullptr;
-    posting_count_view = 0;
-    posting_procs_count_view = 0;
-    posting_hashes.clear();
-    posting_offsets.clear();
-    posting_procs.clear();
-    posting_procs.reserve(incidences.size());
-    for (const auto &[hash, proc] : incidences) {
-        if (posting_hashes.empty() || posting_hashes.back() != hash) {
-            posting_hashes.push_back(hash);
-            posting_offsets.push_back(
-                static_cast<std::uint32_t>(posting_procs.size()));
-        }
-        posting_procs.push_back(proc);
-    }
-    posting_offsets.push_back(
-        static_cast<std::uint32_t>(posting_procs.size()));
-    search_ready = true;
-    c_finalize_calls.add();
-    c_posting_hashes.add(posting_hashes.size());
-    c_posting_incidences.add(posting_procs.size());
-    c_indexed_procs.add(procs.size());
-}
-
 int
 ExecutableIndex::find_by_entry(std::uint64_t addr) const
 {
@@ -490,24 +432,14 @@ std::size_t
 ExecutableIndex::memory_bytes() const
 {
     // Approximate accounting for the resident-cache byte budget: the
-    // big arenas plus the per-procedure fixed state. Map/table overhead
-    // is deliberately ignored — the budget is a ballast figure, not an
+    // arena plus the per-procedure fixed state. Map/table overhead is
+    // deliberately ignored — the budget is a ballast figure, not an
     // allocator audit.
-    std::size_t bytes = sizeof(*this);
-    bytes += name.size();
+    std::size_t bytes = sizeof(*this) + name.size() + arena_bytes;
     for (const ProcEntry &proc : procs) {
-        bytes += sizeof(ProcEntry);
-        bytes += proc.name.size();
+        bytes += sizeof(ProcEntry) + proc.name.size();
         bytes += proc.repr.hashes.size() * sizeof(std::uint64_t);
     }
-    // A view-mode index charges the whole mapped blob; its owning
-    // vectors are empty, so the two terms never double-count (and a
-    // mixed state — a view later finalize()d — charges both, which is
-    // exactly what it holds).
-    bytes += mapped_bytes;
-    bytes += posting_hashes.size() * sizeof(std::uint64_t);
-    bytes += posting_offsets.size() * sizeof(std::uint32_t);
-    bytes += posting_procs.size() * sizeof(std::uint32_t);
     // entry_map / name_map: one entry per procedure each, roughly.
     bytes += procs.size() * 2 * sizeof(std::uint64_t) * 2;
     return bytes;

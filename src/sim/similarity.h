@@ -11,12 +11,12 @@
  *
  * An ExecutableIndex is the unit both the game and the baselines operate
  * on: every procedure of one executable, represented as strand hash
- * sets, plus — once finalize() has run — the search acceleration
- * structures that make corpus-scale matching cheap: a CSR inverted index
- * (strand hash → posting list of procedure indices) and hashed
- * entry/name lookup maps. Most (q, t) procedure pairs in a corpus share
- * zero strands; the posting lists let GetBestMatch touch only the pairs
- * that share at least one.
+ * sets, plus — once finalize() has packed it into its FWIX v6 arena —
+ * the search acceleration structures that make corpus-scale matching
+ * cheap: a CSR inverted index (strand hash → posting list of procedure
+ * indices) and hashed entry/name lookup maps. Most (q, t) procedure
+ * pairs in a corpus share zero strands; the posting lists let
+ * GetBestMatch touch only the pairs that share at least one.
  */
 #pragma once
 
@@ -63,7 +63,23 @@ struct RetrievalCounters
 /** Snapshot of the process-wide retrieval counters. */
 RetrievalCounters retrieval_counters();
 
-/** All procedures of one executable, represented for similarity search. */
+/**
+ * All procedures of one executable, represented for similarity search.
+ *
+ * An index has exactly one representation once finalize() has run (or
+ * it was loaded from a store): an FWIX v6 arena (sim/persist.h) holding
+ * every procedure's strand hashes and the CSR postings, with `procs`
+ * carrying only the O(procs) fixed state (entry, name, counts, block
+ * summary) and hash spans that point into the arena. The arena is a
+ * heap buffer for a freshly built index and the mapped store entry for
+ * a loaded one; `backing` keeps either alive, so copies of the index
+ * (and of its procedures, while a copy of the index lives) share it.
+ *
+ * A hand-built index that never calls finalize() keeps its owning
+ * `repr.hashes` vectors and no postings; every consumer then falls
+ * back to a dense scan and the linear find_by_* lookups — the
+ * reference paths the property tests compare the fast ones against.
+ */
 struct ExecutableIndex
 {
     std::string name;
@@ -71,51 +87,43 @@ struct ExecutableIndex
     std::vector<ProcEntry> procs;
 
     /**
-     * CSR inverted index, built by finalize(): posting_hashes is the
+     * CSR inverted index, viewed in the arena (set by open_index_view;
+     * read through the accessors below): the posting hashes are the
      * sorted union of all strand hashes; the procedures containing
-     * posting_hashes[i] are posting_procs[posting_offsets[i] ..
-     * posting_offsets[i+1]), in ascending procedure order. Hand-built
-     * indexes that never call finalize() still work — every consumer
-     * falls back to a dense scan — but corpus-scale search wants this.
-     *
-     * Owning mode only: a view-mode index (FWIX v6 mmap load) leaves
-     * these empty and points the *_view members into the mapped blob.
-     * Consumers go through the posting_*_data()/count() accessors.
+     * posting hash i are posting_proc_data()[posting_offset_data()[i]
+     * .. posting_offset_data()[i + 1]), in ascending procedure order.
      */
-    std::vector<std::uint64_t> posting_hashes;
-    std::vector<std::uint32_t> posting_offsets;
-    std::vector<std::uint32_t> posting_procs;
-    bool search_ready = false;  ///< postings + lookup maps are built
+    const std::uint64_t *posting_hash_ptr = nullptr;
+    const std::uint32_t *posting_offset_ptr = nullptr;  ///< count + 1
+    const std::uint32_t *posting_proc_ptr = nullptr;
+    std::uint32_t posting_count = 0;        ///< distinct hashes
+    std::uint32_t posting_incidences = 0;   ///< total (hash, proc) pairs
+    bool search_ready = false;  ///< arena + lookup maps are built
 
     /**
-     * Non-owning CSR views over an mmap'ed FWIX v6 blob, pinned alive
-     * by `backing`. posting_offsets_view has posting_count_view + 1
-     * entries when set.
-     */
-    const std::uint64_t *posting_hashes_view = nullptr;
-    const std::uint32_t *posting_offsets_view = nullptr;
-    const std::uint32_t *posting_procs_view = nullptr;
-    std::uint32_t posting_count_view = 0;       ///< distinct hashes
-    std::uint32_t posting_procs_count_view = 0; ///< total incidences
-
-    /**
-     * Keepalive for view mode: holds the MappedFile (or byte buffer)
-     * every *_view pointer and every procs[i].repr.hash_view points
-     * into. Copying the index shares the mapping; the pages outlive
-     * every copy, so resident-cache eviction can never invalidate an
-     * in-use view. Null for owning-mode indexes.
+     * Keepalive of the arena every posting pointer and every
+     * procs[i].repr.hash_view points into: a ByteBuffer for a built or
+     * read-in index, a MappedFile for an mmap'ed store entry. The
+     * pages outlive every copy, so resident-cache eviction can never
+     * invalidate an in-use index. Null until finalize().
      */
     std::shared_ptr<const void> backing;
-    std::size_t mapped_bytes = 0;  ///< blob size behind `backing`
+    const std::uint8_t *arena = nullptr;  ///< the FWIX v6 blob
+    std::size_t arena_bytes = 0;
 
     /** Hashed lookup maps (satellite of the posting build). */
     std::unordered_map<std::uint64_t, int> entry_map;
     std::unordered_map<std::string, int> name_map;
 
     /**
-     * Build the posting lists and lookup maps. Called by
-     * index_executable() and parse_index(); call it yourself after
-     * assembling an index by hand to get the fast paths.
+     * Pack `procs` and the CSR postings into a fresh FWIX v6 arena and
+     * re-open this index as a view over it (defined in persist.cc —
+     * the arena writer and reader live together). Each procedure's
+     * owning hash vector is released once packed; unsorted hand-built
+     * sets are sorted and deduplicated first. Re-running it (e.g. after
+     * renaming procedures) re-packs from the live spans. Called by
+     * index_executable(); call it yourself after assembling an index by
+     * hand to get the fast paths.
      */
     void finalize();
 
@@ -124,54 +132,36 @@ struct ExecutableIndex
     /** Index of the first procedure named @p name, or -1. */
     int find_by_name(const std::string &name) const;
 
-    /** True when this index borrows its arenas from a mapped blob. */
-    bool view_mode() const { return posting_hashes_view != nullptr; }
-
-    /** Sorted union of strand hashes (owning or view storage). */
+    /** Sorted union of strand hashes. */
     const std::uint64_t *
     posting_hash_data() const
     {
-        return posting_hashes_view != nullptr ? posting_hashes_view
-                                              : posting_hashes.data();
+        return posting_hash_ptr;
     }
 
-    std::size_t
-    posting_hash_count() const
-    {
-        return posting_hashes_view != nullptr
-                   ? std::size_t{posting_count_view}
-                   : posting_hashes.size();
-    }
+    std::size_t posting_hash_count() const { return posting_count; }
 
     /** CSR row offsets; posting_hash_count() + 1 entries when built. */
     const std::uint32_t *
     posting_offset_data() const
     {
-        return posting_offsets_view != nullptr ? posting_offsets_view
-                                               : posting_offsets.data();
+        return posting_offset_ptr;
     }
 
     /** CSR column (procedure) indices. */
     const std::uint32_t *
     posting_proc_data() const
     {
-        return posting_procs_view != nullptr ? posting_procs_view
-                                             : posting_procs.data();
+        return posting_proc_ptr;
     }
 
-    std::size_t
-    posting_proc_count() const
-    {
-        return posting_procs_view != nullptr
-                   ? std::size_t{posting_procs_count_view}
-                   : posting_procs.size();
-    }
+    std::size_t posting_proc_count() const { return posting_incidences; }
 
     /**
      * Approximate bytes this index keeps resident — the accounting
-     * unit of the ResidentIndexCache byte budget. View mode charges
-     * the mapped blob plus the materialized per-procedure entries;
-     * owning mode sums the vectors.
+     * unit of the ResidentIndexCache byte budget: the arena plus the
+     * fixed per-procedure state (and, before finalize(), the owning
+     * hash vectors).
      */
     std::size_t memory_bytes() const;
 };

@@ -110,19 +110,21 @@ std::uint64_t strand_hash(const Strand &strand,
 struct ProcedureStrands
 {
     /**
-     * Sorted, unique strand hashes (flat set; see finalize()). Owning
-     * mode only: a view-mode set (FWIX v6 mmap load) leaves this empty
-     * and points `hash_view` into the mapped blob instead. All readers
+     * Sorted, unique strand hashes (flat set; see finalize()) of a set
+     * that lives outside an index: represent_procedure() output,
+     * strand_set(), hand-built sets. Once its ExecutableIndex is
+     * finalized (or loaded) a set is a view instead: this is empty and
+     * `hash_view` points into the index's FWIX v6 arena. All readers
      * must go through hash_data()/hash_count(), which dispatch to
-     * whichever storage is live; mutation (add/finalize) is an
-     * owning-mode operation.
+     * whichever storage is live; mutation (add/finalize) applies to
+     * owning sets only.
      */
     std::vector<std::uint64_t> hashes;
 
     /**
-     * Non-owning view of the hash set (sorted, unique), borrowed from
-     * an mmap'ed FWIX v6 arena. Lifetime is pinned by the owning
-     * ExecutableIndex's `backing` handle, never by this struct.
+     * Non-owning view of the hash set (sorted, unique) in an
+     * ExecutableIndex's arena. Lifetime is pinned by that index's
+     * `backing` handle, never by this struct.
      */
     const std::uint64_t *hash_view = nullptr;
     std::uint32_t hash_view_count = 0;

@@ -345,7 +345,7 @@ TEST(PicCalls, JalrCallsMatchDirectCallsAfterCanonicalization)
         const auto &other = ib.procs[static_cast<std::size_t>(j)].repr;
         const int shared = sim::sim_score(proc.repr, other);
         EXPECT_GE(shared,
-                  static_cast<int>(proc.repr.hashes.size() * 7 / 10))
+                  static_cast<int>(proc.repr.hash_count() * 7 / 10))
             << proc.name;
     }
 }

@@ -11,6 +11,7 @@
 #include "codegen/build.h"
 #include "eval/experiments.h"
 #include "eval/report.h"
+#include "index_spans.h"
 
 namespace firmup::eval {
 namespace {
@@ -57,7 +58,7 @@ TEST(Driver, SelfSearchDetectsWithPerfectSim)
                   .entry);
     EXPECT_EQ(static_cast<std::size_t>(outcome.sim),
               query.index.procs[static_cast<std::size_t>(query.qv)]
-                  .repr.hashes.size());
+                  .repr.hash_count());
 }
 
 TEST(Driver, ThresholdGatesDetection)
@@ -244,8 +245,8 @@ TEST(Driver, PreindexMatchesSequentialIndexing)
             ASSERT_EQ(a->procs.size(), b->procs.size()) << exe.name;
             for (std::size_t i = 0; i < a->procs.size(); ++i) {
                 EXPECT_EQ(a->procs[i].entry, b->procs[i].entry);
-                EXPECT_EQ(a->procs[i].repr.hashes,
-                          b->procs[i].repr.hashes);
+                EXPECT_EQ(live_hashes(a->procs[i].repr),
+                          live_hashes(b->procs[i].repr));
             }
         }
     }

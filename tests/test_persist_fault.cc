@@ -2,21 +2,24 @@
  * @file
  * Hostile-input coverage for the FWIX v6 index container.
  *
- * The persistent index cache (sim::IndexCacheStore) feeds whatever bytes
- * it finds on disk into parse_index — and, on the mmap warm path, into
- * open_index_view — so a corrupt, truncated or stale cache entry must
- * always come back as a clean Result error — never a crash, and never a
- * silently wrong index. The harness runs a real serialized index through
- * the support/faultinject mutators across many seeds and asserts exactly
- * that for BOTH consumers: a mutant either equals the original
- * byte-for-byte (and parses to the same index) or fails to load.
- * The v6 flat layout gets its own targeted sweeps: checksum-repaired
- * mutants that reach the directory and proc-record field guards
- * (arena bounds and alignment, flag strictness, per-procedure hash
- * spans), and older format versions must read as stale cache misses.
+ * The persistent index cache (sim::IndexCacheStore) opens whatever bytes
+ * it finds on disk as an index view (open_index_view) — over the mapped
+ * file, or over a read-in buffer when it does not map — so a corrupt,
+ * truncated or stale cache entry must always come back as a clean
+ * Result error — never a crash, and never a silently wrong index. The
+ * harness runs a real serialized index through the support/faultinject
+ * mutators across many seeds and asserts exactly that for the view
+ * open and for the store's read-into-buffer load: a mutant either
+ * equals the original byte-for-byte (and opens to the same index) or
+ * fails to load. The v6 flat layout gets its own targeted sweeps:
+ * checksum-repaired mutants that reach the directory and proc-record
+ * field guards (arena bounds and alignment, flag strictness, the
+ * search-ready flag, per-procedure hash spans), and older format
+ * versions must read as stale cache misses.
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string_view>
@@ -24,6 +27,7 @@
 #include "codegen/build.h"
 #include "eval/driver.h"
 #include "firmware/catalog.h"
+#include "index_spans.h"
 #include "lifter/cfg.h"
 #include "sim/index_cache.h"
 #include "sim/persist.h"
@@ -75,8 +79,41 @@ expect_same_index(const ExecutableIndex &a, const ExecutableIndex &b)
     for (std::size_t i = 0; i < a.procs.size(); ++i) {
         EXPECT_EQ(a.procs[i].entry, b.procs[i].entry);
         EXPECT_EQ(a.procs[i].name, b.procs[i].name);
-        EXPECT_EQ(a.procs[i].repr.hashes, b.procs[i].repr.hashes);
+        EXPECT_EQ(live_hashes(a.procs[i].repr), live_hashes(b.procs[i].repr));
     }
+    EXPECT_EQ(posting_hashes_of(a), posting_hashes_of(b));
+    EXPECT_EQ(posting_offsets_of(a), posting_offsets_of(b));
+    EXPECT_EQ(posting_procs_of(a), posting_procs_of(b));
+}
+
+/** Open @p bytes as a view (the blob must outlive the result). */
+Result<ExecutableIndex>
+view_of(const ByteBuffer &bytes)
+{
+    return open_index_view(bytes.data(), bytes.size(), nullptr);
+}
+
+/**
+ * Load @p bytes the way the store does when it does not map: publish
+ * them as a store entry, then read it into a buffer and open the view.
+ * Each test gets its own store directory (ctest runs tests in parallel).
+ */
+Result<ExecutableIndex>
+load_buffered(const ByteBuffer &bytes)
+{
+    const std::string dir =
+        (std::filesystem::path(testing::TempDir()) /
+         (std::string("firmup-persist-buffered-") +
+          testing::UnitTest::GetInstance()->current_test_info()->name()))
+            .string();
+    const IndexCacheStore store(dir);
+    {
+        std::ofstream out(store.path_for(1),
+                          std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+    return store.load(1, /*use_mmap=*/false);
 }
 
 TEST(PersistFault, EveryMutantFailsCleanlyOrIsTheOriginal)
@@ -96,18 +133,16 @@ TEST(PersistFault, EveryMutantFailsCleanlyOrIsTheOriginal)
             Rng rng(0xfa017 ^ (seed * 0x9e3779b97f4a7c15ull));
             const ByteBuffer mutant =
                 fault::apply_mutation(bytes, kind, rng, options);
-            auto parsed = parse_index(mutant);
-            auto viewed = open_index_view(mutant.data(), mutant.size(),
-                                          nullptr);
+            auto parsed = load_buffered(mutant);
+            auto viewed = view_of(mutant);
             if (mutant == bytes) {
                 // Mutation was a no-op (e.g. truncate at full length,
                 // a bit flipped twice): the blob is intact and must
-                // still round-trip — through both consumers.
+                // still round-trip — through both load paths.
                 ASSERT_TRUE(parsed.ok()) << parsed.error_message();
                 expect_same_index(parsed.value(), real_index());
-                if (open_view_supported()) {
-                    ASSERT_TRUE(viewed.ok()) << viewed.error_message();
-                }
+                ASSERT_TRUE(viewed.ok()) << viewed.error_message();
+                expect_same_index(viewed.value(), real_index());
                 continue;
             }
             // Any byte-level damage must be detected: the payload
@@ -137,9 +172,13 @@ TEST(PersistFault, MultiRoundMutantsNeverCrash)
     for (std::uint64_t seed = 0; seed < 256; ++seed) {
         Rng rng(0xcafe + seed);
         const ByteBuffer mutant = fault::mutate(bytes, rng, options);
-        auto parsed = parse_index(mutant);
+        auto parsed = load_buffered(mutant);
         if (parsed.ok()) {
             expect_same_index(parsed.value(), real_index());
+        }
+        auto viewed = view_of(mutant);
+        if (viewed.ok()) {
+            expect_same_index(viewed.value(), real_index());
         }
     }
 }
@@ -154,13 +193,13 @@ TEST(PersistFault, StaleVersionGetsDistinctError)
     for (int i = 0; i < 64; ++i) {
         v1.push_back(0);
     }
-    auto parsed = parse_index(v1);
+    auto parsed = view_of(v1);
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.error_code(), ErrorCode::StaleFormat);
 
     ByteBuffer future = {'F', 'W', 'I', 'X'};
     append_u16_le(future, 7);
-    auto future_parsed = parse_index(future);
+    auto future_parsed = view_of(future);
     ASSERT_FALSE(future_parsed.ok());
     EXPECT_EQ(future_parsed.error_code(), ErrorCode::StaleFormat);
 }
@@ -172,7 +211,7 @@ TEST(PersistFault, LayoutHashMismatchIsStale)
     // different serialized layout — the "struct changed without a
     // version bump" guard.
     bytes[6] ^= 0xff;
-    auto parsed = parse_index(bytes);
+    auto parsed = view_of(bytes);
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.error_code(), ErrorCode::StaleFormat);
 }
@@ -190,26 +229,28 @@ rechecksum(ByteBuffer &bytes)
     const std::uint64_t checksum = content_hash64(std::string_view(
         reinterpret_cast<const char *>(bytes.data()) + kHeaderSize,
         bytes.size() - kHeaderSize));
-    for (int i = 0; i < 8; ++i) {
-        bytes[14 + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(checksum >> (8 * i));
-    }
+    std::memcpy(bytes.data() + 14, &checksum, sizeof checksum);
 }
 
 // ---- v6 flat-layout navigation -----------------------------------------
 //
 // The v6 directory is a fixed table of absolute offsets at byte 24
-// (sim/persist.cc documents the field order). These helpers read just
-// enough of it for the targeted mutants below to find their field.
+// (sim/persist.cc documents the field order). These helpers read and
+// write just enough of it (host-order words) for the targeted mutants
+// below to find their field.
 
 std::uint64_t
 blob_u64(const ByteBuffer &bytes, std::size_t at)
 {
     std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-        v = (v << 8) | bytes[at + static_cast<std::size_t>(i)];
-    }
+    std::memcpy(&v, bytes.data() + at, sizeof v);
     return v;
+}
+
+void
+poke_u64(ByteBuffer &bytes, std::size_t at, std::uint64_t v)
+{
+    std::memcpy(bytes.data() + at, &v, sizeof v);
 }
 
 /** Absolute offset of the packed proc table (directory slot 48). */
@@ -253,12 +294,11 @@ TEST(PersistFault, UnknownProcFlagIsMalformedEvenWithValidChecksum)
     ASSERT_EQ(bytes[flags] & ~0x1u, 0u);
     bytes[flags] |= 2;  // bit1: unknown to this build
     rechecksum(bytes);
-    auto parsed = parse_index(bytes);
-    ASSERT_FALSE(parsed.ok());
-    EXPECT_EQ(parsed.error_code(), ErrorCode::MalformedContainer);
-    EXPECT_NE(parsed.error_message().find("flags"), std::string::npos);
-    auto viewed = open_index_view(bytes.data(), bytes.size(), nullptr);
-    EXPECT_FALSE(viewed.ok());
+    auto viewed = view_of(bytes);
+    ASSERT_FALSE(viewed.ok());
+    EXPECT_EQ(viewed.error_code(), ErrorCode::MalformedContainer);
+    EXPECT_NE(viewed.error_message().find("flags"), std::string::npos);
+    EXPECT_FALSE(load_buffered(bytes).ok());
 }
 
 TEST(PersistFault, OutOfRangeProcHashSpanFailsCleanly)
@@ -282,19 +322,14 @@ TEST(PersistFault, OutOfRangeProcHashSpanFailsCleanly)
     };
     for (const std::uint64_t evil : evils) {
         ByteBuffer mutant = bytes;
-        for (int i = 0; i < 8; ++i) {
-            mutant[rec + 8 + static_cast<std::size_t>(i)] =
-                static_cast<std::uint8_t>(evil >> (8 * i));
-        }
+        poke_u64(mutant, rec + 8, evil);
         rechecksum(mutant);
-        auto parsed = parse_index(mutant);
-        ASSERT_FALSE(parsed.ok()) << evil;
-        EXPECT_NE(parsed.error_message().find("hash span"),
+        auto viewed = view_of(mutant);
+        ASSERT_FALSE(viewed.ok()) << evil;
+        EXPECT_NE(viewed.error_message().find("hash span"),
                   std::string::npos)
-            << parsed.error_message();
-        EXPECT_FALSE(
-            open_index_view(mutant.data(), mutant.size(), nullptr).ok())
-            << evil;
+            << viewed.error_message();
+        EXPECT_FALSE(load_buffered(mutant).ok()) << evil;
     }
 }
 
@@ -313,12 +348,10 @@ TEST(PersistFault, TruncatedPostingArenaFailsCleanly)
         ByteBuffer mutant(bytes.begin(),
                           bytes.begin() + static_cast<long>(cut));
         rechecksum(mutant);
-        auto parsed = parse_index(mutant);
-        EXPECT_FALSE(parsed.ok()) << "cut " << cut;
-        EXPECT_FALSE(parsed.error_message().empty());
-        EXPECT_FALSE(
-            open_index_view(mutant.data(), mutant.size(), nullptr).ok())
-            << "cut " << cut;
+        auto viewed = view_of(mutant);
+        EXPECT_FALSE(viewed.ok()) << "cut " << cut;
+        EXPECT_FALSE(viewed.error_message().empty());
+        EXPECT_FALSE(load_buffered(mutant).ok()) << "cut " << cut;
     }
 }
 
@@ -342,53 +375,52 @@ TEST(PersistFault, CorruptDirectoryOffsetsFailCleanly)
         }
         for (const std::uint64_t evil : evils) {
             ByteBuffer mutant = bytes;
-            for (int i = 0; i < 8; ++i) {
-                mutant[24 + slot + static_cast<std::size_t>(i)] =
-                    static_cast<std::uint8_t>(evil >> (8 * i));
-            }
+            poke_u64(mutant, 24 + slot, evil);
             rechecksum(mutant);
             if (mutant == bytes) {
                 continue;
             }
-            auto parsed = parse_index(mutant);
-            EXPECT_FALSE(parsed.ok()) << "slot " << slot << " " << evil;
-            auto viewed =
-                open_index_view(mutant.data(), mutant.size(), nullptr);
-            EXPECT_FALSE(viewed.ok()) << "slot " << slot << " " << evil;
+            EXPECT_FALSE(view_of(mutant).ok())
+                << "slot " << slot << " " << evil;
+            EXPECT_FALSE(load_buffered(mutant).ok())
+                << "slot " << slot << " " << evil;
         }
     }
 }
 
-TEST(PersistFault, ViewOpenMatchesCopyingParse)
+TEST(PersistFault, ViewOpenMatchesDenseReference)
 {
-    // The zero-copy consumer must agree with the copying parser on a
-    // pristine blob: same procedures, same hashes, same candidates.
-    if (!open_view_supported()) {
-        GTEST_SKIP() << "big-endian host: view path disabled";
-    }
+    // A stored blob opened as a view must agree with a never-finalized
+    // copy of the same procedures: same hashes and summaries, and its
+    // posting retrieval must return exactly the candidates the dense
+    // reference scan does.
     const ByteBuffer bytes = serialize_index(real_index());
-    auto parsed = parse_index(bytes);
-    ASSERT_TRUE(parsed.ok()) << parsed.error_message();
-    auto viewed = open_index_view(bytes.data(), bytes.size(), nullptr);
+    auto viewed = view_of(bytes);
     ASSERT_TRUE(viewed.ok()) << viewed.error_message();
-    const ExecutableIndex &a = parsed.value();
-    ExecutableIndex &b = viewed.value();
-    EXPECT_TRUE(b.view_mode() || b.procs.empty());
+    const ExecutableIndex &b = viewed.value();
     EXPECT_TRUE(b.search_ready);
-    ASSERT_EQ(a.procs.size(), b.procs.size());
-    for (std::size_t i = 0; i < a.procs.size(); ++i) {
-        ASSERT_EQ(a.procs[i].repr.hash_count(),
-                  b.procs[i].repr.hash_count());
-        const std::uint64_t *ah = a.procs[i].repr.hash_data();
-        const std::uint64_t *bh = b.procs[i].repr.hash_data();
-        for (std::size_t h = 0; h < a.procs[i].repr.hash_count(); ++h) {
-            ASSERT_EQ(ah[h], bh[h]) << "proc " << i << " hash " << h;
-        }
-        EXPECT_EQ(a.procs[i].repr.bucket_bits,
+    EXPECT_EQ(b.arena, bytes.data());
+    ExecutableIndex dense;
+    for (const ProcEntry &proc : real_index().procs) {
+        ProcEntry owned;
+        owned.entry = proc.entry;
+        owned.name = proc.name;
+        owned.repr = strand::strand_set(live_hashes(proc.repr));
+        dense.procs.push_back(std::move(owned));
+    }
+    ASSERT_FALSE(dense.search_ready);
+    ASSERT_EQ(dense.procs.size(), b.procs.size());
+    for (std::size_t i = 0; i < dense.procs.size(); ++i) {
+        EXPECT_EQ(live_hashes(dense.procs[i].repr),
+                  live_hashes(b.procs[i].repr))
+            << "proc " << i;
+        EXPECT_EQ(dense.procs[i].repr.bucket_bits,
                   b.procs[i].repr.bucket_bits);
+        EXPECT_EQ(dense.find_by_entry(dense.procs[i].entry),
+                  b.find_by_entry(dense.procs[i].entry));
     }
     for (const ProcEntry &query : real_index().procs) {
-        const auto exact_a = shared_candidates(a, query.repr);
+        const auto exact_a = shared_candidates(dense, query.repr);
         const auto exact_b = shared_candidates(b, query.repr);
         ASSERT_EQ(exact_a.size(), exact_b.size());
         for (std::size_t c = 0; c < exact_a.size(); ++c) {
@@ -396,6 +428,49 @@ TEST(PersistFault, ViewOpenMatchesCopyingParse)
             EXPECT_EQ(exact_a[c].sim, exact_b[c].sim);
         }
     }
+}
+
+TEST(PersistFault, ClearedReadyBitIsACleanMiss)
+{
+    // Every writer packs a finalized index, so a blob without the
+    // search-ready flag — even one whose checksum is re-stamped — is
+    // not a blob this build wrote: both load paths refuse it, and a
+    // scan over such an entry counts a miss and re-indexes.
+    namespace fs = std::filesystem;
+    ByteBuffer bytes = serialize_index(real_index());
+    constexpr std::size_t kDirFlags = 24 + 9;
+    ASSERT_EQ(bytes[kDirFlags], 1u);
+    bytes[kDirFlags] = 0;
+    rechecksum(bytes);
+    auto viewed = view_of(bytes);
+    ASSERT_FALSE(viewed.ok());
+    EXPECT_EQ(viewed.error_code(), ErrorCode::MalformedContainer);
+    EXPECT_FALSE(load_buffered(bytes).ok());
+
+    const fs::path dir = fs::path(testing::TempDir()) / "firmup-unready";
+    fs::remove_all(dir);
+    const IndexCacheStore store(dir.string());
+    const loader::Executable &exe = real_executable();
+    const std::uint64_t key = eval::content_key(exe);
+    {
+        std::ofstream out(store.path_for(key),
+                          std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+    auto mapped = store.load(key, /*use_mmap=*/true);
+    ASSERT_FALSE(mapped.ok());
+    EXPECT_EQ(mapped.error_code(), ErrorCode::MalformedContainer);
+    eval::SearchOptions options;
+    options.index_cache_dir = dir.string();
+    eval::Driver driver(options);
+    const ExecutableIndex *index = driver.index_target(exe);
+    ASSERT_NE(index, nullptr);
+    expect_same_index(*index, real_index());
+    EXPECT_EQ(driver.health().cache_misses, 1u);
+    EXPECT_EQ(driver.health().cache_hits, 0u);
+    EXPECT_TRUE(store.load(key).ok()) << "entry was not rewritten";
+    fs::remove_all(dir);
 }
 
 TEST(PersistFault, OlderVersionEntriesAreStaleAndRecountedAsMisses)
@@ -410,7 +485,7 @@ TEST(PersistFault, OlderVersionEntriesAreStaleAndRecountedAsMisses)
         ByteBuffer old = serialize_index(real_index());
         old[4] = version;
         old[5] = 0;
-        auto parsed = parse_index(old);
+        auto parsed = view_of(old);
         ASSERT_FALSE(parsed.ok());
         EXPECT_EQ(parsed.error_code(), ErrorCode::StaleFormat);
         EXPECT_NE(parsed.error_message().find(std::to_string(version)),
@@ -450,17 +525,19 @@ TEST(PersistFault, OlderVersionEntriesAreStaleAndRecountedAsMisses)
 
 TEST(PersistFault, GarbageAndEmptyBuffersFailCleanly)
 {
-    EXPECT_FALSE(parse_index(ByteBuffer{}).ok());
+    EXPECT_FALSE(view_of(ByteBuffer{}).ok());
+    EXPECT_FALSE(load_buffered(ByteBuffer{}).ok());
     ByteBuffer garbage;
     Rng rng(0x6a5ba6e);
     for (int i = 0; i < 4096; ++i) {
         garbage.push_back(static_cast<std::uint8_t>(rng.index(256)));
     }
-    EXPECT_FALSE(parse_index(garbage).ok());
+    EXPECT_FALSE(view_of(garbage).ok());
+    EXPECT_FALSE(load_buffered(garbage).ok());
     // Every prefix of a valid blob fails too (no over-read).
     const ByteBuffer bytes = serialize_index(real_index());
     for (std::size_t len = 0; len < bytes.size(); ++len) {
-        EXPECT_FALSE(parse_index(bytes.data(), len).ok())
+        EXPECT_FALSE(open_index_view(bytes.data(), len, nullptr).ok())
             << "prefix " << len;
     }
 }

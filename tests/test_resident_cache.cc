@@ -4,8 +4,10 @@
  * budget, the budget-0 ablation, eviction accounting, the
  * shared-ownership pin contract (an index evicted mid-use stays valid —
  * including its mmap-backed views), and the bit-identity matrix — warm
- * and cold scans, mmap and copying loads, resident budgets from zero to
- * unbounded, at 1/2/8 worker threads, all producing identical findings.
+ * and cold scans, resident budgets from zero to unbounded, at 1/2/8
+ * worker threads, all producing identical findings. (Mapped and
+ * read-in store loads are compared index-for-index in
+ * test_fwix_golden.)
  */
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 
 #include "eval/driver.h"
 #include "firmware/corpus.h"
+#include "index_spans.h"
 #include "sim/index_cache.h"
 #include "sim/persist.h"
 #include "support/str.h"
@@ -110,9 +113,6 @@ TEST(ResidentIndexCache, EvictedMappedIndexStaysValidWhilePinned)
     // point into an mmap'd store entry; evicting it from the resident
     // cache (and even destroying the cache) must drop only the cache's
     // reference — the mapped file lives until the last pin goes.
-    if (!sim::open_view_supported()) {
-        GTEST_SKIP() << "v5 view path unsupported on this host";
-    }
     const auto reference = corpus_index();
     sim::IndexCacheStore store(fresh_dir("pin"));
     ASSERT_TRUE(store.store(7, *reference).ok());
@@ -122,7 +122,7 @@ TEST(ResidentIndexCache, EvictedMappedIndexStaysValidWhilePinned)
     ASSERT_TRUE(stats.mapped);
     auto mapped = std::make_shared<const sim::ExecutableIndex>(
         std::move(loaded).take());
-    ASSERT_TRUE(mapped->view_mode());
+    ASSERT_NE(mapped->arena, nullptr);
 
     auto cache =
         std::make_unique<sim::ResidentIndexCache>(std::size_t{1} << 30);
@@ -146,21 +146,19 @@ TEST(ResidentIndexCache, EvictedMappedIndexStaysValidWhilePinned)
         }
     }
     ASSERT_GT(pinned->posting_hash_count(), 0u);
-    EXPECT_EQ(pinned->posting_hash_count(),
-              reference->posting_hashes.size());
+    EXPECT_EQ(posting_hashes_of(*pinned), posting_hashes_of(*reference));
 }
 
 /** Outcome fingerprint of one warm scan under the given knobs. */
 std::vector<CorpusOutcome>
 scan_once(const firmware::CveRecord &cve,
           const std::vector<CorpusTarget> &targets,
-          const std::string &cache_dir, bool mmap_index,
-          sim::ResidentIndexCache *resident, unsigned threads,
+          const std::string &cache_dir, sim::ResidentIndexCache *resident,
+          unsigned threads,
           ScanHealth *health_out = nullptr)
 {
     SearchOptions options;
     options.index_cache_dir = cache_dir;
-    options.mmap_index = mmap_index;
     options.resident_cache = resident;
     Driver driver(options);
     auto outcomes = driver.search_corpus(cve, targets, threads);
@@ -204,57 +202,46 @@ TEST(ResidentCacheIdentity, FindingsIdenticalAcrossTiersAndThreads)
     const std::string cache_dir = fresh_dir("identity");
 
     // Reference: the cold scan that also fills the store.
-    const auto reference =
-        scan_once(cve, targets, cache_dir, true, nullptr, 4);
+    const auto reference = scan_once(cve, targets, cache_dir, nullptr, 4);
 
     for (const unsigned threads : {1u, 2u, 8u}) {
-        for (const bool mmap_index : {true, false}) {
-            // No resident tier.
-            expect_same_outcomes(
-                reference,
-                scan_once(cve, targets, cache_dir, mmap_index, nullptr,
-                          threads),
-                strprintf("mmap=%d threads=%u", mmap_index, threads));
-            // Budget-0 resident tier: wired but retains nothing.
-            sim::ResidentIndexCache empty(0);
-            ScanHealth zero_health;
-            expect_same_outcomes(
-                reference,
-                scan_once(cve, targets, cache_dir, mmap_index, &empty,
-                          threads, &zero_health),
-                strprintf("mmap=%d threads=%u budget=0", mmap_index,
-                          threads));
-            EXPECT_EQ(zero_health.resident_hits, 0u);
-            EXPECT_GT(zero_health.resident_misses, 0u);
-            // Unbounded resident tier, scanned twice through one cache:
-            // the second scan runs entirely hot.
-            sim::ResidentIndexCache resident(std::size_t{1} << 30);
-            expect_same_outcomes(
-                reference,
-                scan_once(cve, targets, cache_dir, mmap_index, &resident,
-                          threads),
-                strprintf("mmap=%d threads=%u fill", mmap_index,
-                          threads));
-            ScanHealth hot_health;
-            expect_same_outcomes(
-                reference,
-                scan_once(cve, targets, cache_dir, mmap_index, &resident,
-                          threads, &hot_health),
-                strprintf("mmap=%d threads=%u hot", mmap_index,
-                          threads));
-            EXPECT_GT(hot_health.resident_hits, 0u);
-            EXPECT_EQ(hot_health.resident_misses, 0u);
-            EXPECT_EQ(hot_health.cache_hits, 0u);
-            EXPECT_EQ(hot_health.cache_misses, 0u);
-        }
+        // No resident tier.
+        expect_same_outcomes(
+            reference,
+            scan_once(cve, targets, cache_dir, nullptr, threads),
+            strprintf("threads=%u", threads));
+        // Budget-0 resident tier: wired but retains nothing.
+        sim::ResidentIndexCache empty(0);
+        ScanHealth zero_health;
+        expect_same_outcomes(
+            reference,
+            scan_once(cve, targets, cache_dir, &empty, threads,
+                      &zero_health),
+            strprintf("threads=%u budget=0", threads));
+        EXPECT_EQ(zero_health.resident_hits, 0u);
+        EXPECT_GT(zero_health.resident_misses, 0u);
+        // Unbounded resident tier, scanned twice through one cache: the
+        // second scan runs entirely hot.
+        sim::ResidentIndexCache resident(std::size_t{1} << 30);
+        expect_same_outcomes(
+            reference,
+            scan_once(cve, targets, cache_dir, &resident, threads),
+            strprintf("threads=%u fill", threads));
+        ScanHealth hot_health;
+        expect_same_outcomes(
+            reference,
+            scan_once(cve, targets, cache_dir, &resident, threads,
+                      &hot_health),
+            strprintf("threads=%u hot", threads));
+        EXPECT_GT(hot_health.resident_hits, 0u);
+        EXPECT_EQ(hot_health.resident_misses, 0u);
+        EXPECT_EQ(hot_health.cache_hits, 0u);
+        EXPECT_EQ(hot_health.cache_misses, 0u);
     }
 }
 
 TEST(ResidentCacheIdentity, WarmMmapScanUsesTheViewPath)
 {
-    if (!sim::open_view_supported()) {
-        GTEST_SKIP() << "v5 view path unsupported on this host";
-    }
     firmware::CorpusOptions corpus_options;
     corpus_options.num_devices = 1;
     const firmware::Corpus corpus =
@@ -262,18 +249,13 @@ TEST(ResidentCacheIdentity, WarmMmapScanUsesTheViewPath)
     const std::vector<CorpusTarget> targets = corpus_targets(corpus);
     const firmware::CveRecord &cve = firmware::cve_database().front();
     const std::string cache_dir = fresh_dir("viewpath");
-    scan_once(cve, targets, cache_dir, true, nullptr, 2);  // store fill
+    scan_once(cve, targets, cache_dir, nullptr, 2);  // store fill
 
     ScanHealth mmap_health;
-    scan_once(cve, targets, cache_dir, true, nullptr, 2, &mmap_health);
+    scan_once(cve, targets, cache_dir, nullptr, 2, &mmap_health);
     EXPECT_GT(mmap_health.cache_hits, 0u);
     // Every target hit is a view, plus the query-recipe load maps too.
     EXPECT_GE(mmap_health.cache_mmap_loads, mmap_health.cache_hits);
-
-    ScanHealth copy_health;
-    scan_once(cve, targets, cache_dir, false, nullptr, 2, &copy_health);
-    EXPECT_GT(copy_health.cache_hits, 0u);
-    EXPECT_EQ(copy_health.cache_mmap_loads, 0u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "codegen/build.h"
 #include "firmware/catalog.h"
+#include "index_spans.h"
 #include "lifter/cfg.h"
 #include "sim/persist.h"
 #include "sim/similarity.h"
@@ -102,7 +103,7 @@ TEST(Index, CoversAllLiftedProcedures)
     EXPECT_EQ(index.procs.size(), lifted.procs.size());
     EXPECT_EQ(index.arch, isa::Arch::Ppc32);
     for (const ProcEntry &proc : index.procs) {
-        EXPECT_FALSE(proc.repr.hashes.empty()) << proc.name;
+        EXPECT_FALSE(proc.repr.hash_empty()) << proc.name;
         EXPECT_GT(proc.repr.stmt_count, 0u) << proc.name;
         EXPECT_EQ(index.find_by_entry(proc.entry),
                   index.find_by_entry(proc.entry));
@@ -165,7 +166,7 @@ TEST(Persist, RoundTrip)
         index_executable(lifter::lift_executable(exe).take());
 
     const ByteBuffer bytes = serialize_index(index);
-    auto parsed = parse_index(bytes);
+    auto parsed = open_index_view(bytes.data(), bytes.size(), nullptr);
     ASSERT_TRUE(parsed.ok()) << parsed.error_message();
     const ExecutableIndex &out = parsed.value();
     EXPECT_EQ(out.name, index.name);
@@ -174,7 +175,8 @@ TEST(Persist, RoundTrip)
     for (std::size_t i = 0; i < index.procs.size(); ++i) {
         EXPECT_EQ(out.procs[i].entry, index.procs[i].entry);
         EXPECT_EQ(out.procs[i].name, index.procs[i].name);
-        EXPECT_EQ(out.procs[i].repr.hashes, index.procs[i].repr.hashes);
+        EXPECT_EQ(live_hashes(out.procs[i].repr),
+                  live_hashes(index.procs[i].repr));
         EXPECT_EQ(out.procs[i].repr.block_count,
                   index.procs[i].repr.block_count);
         EXPECT_EQ(out.procs[i].repr.stmt_count,
@@ -183,7 +185,7 @@ TEST(Persist, RoundTrip)
     // Similarity computed from a reloaded index is identical.
     for (std::size_t i = 0; i < index.procs.size(); ++i) {
         EXPECT_EQ(sim_score(out.procs[i].repr, index.procs[i].repr),
-                  static_cast<int>(index.procs[i].repr.hashes.size()));
+                  static_cast<int>(index.procs[i].repr.hash_count()));
     }
 }
 
@@ -200,10 +202,10 @@ TEST(Persist, RejectsCorruptInput)
     // Bad magic.
     ByteBuffer bad = bytes;
     bad[0] = 'Z';
-    EXPECT_FALSE(parse_index(bad).ok());
+    EXPECT_FALSE(open_index_view(bad.data(), bad.size(), nullptr).ok());
     // Every truncation point must fail cleanly.
     for (std::size_t len = 0; len < bytes.size(); ++len) {
-        EXPECT_FALSE(parse_index(bytes.data(), len).ok())
+        EXPECT_FALSE(open_index_view(bytes.data(), len, nullptr).ok())
             << "prefix " << len;
     }
 }

@@ -329,7 +329,7 @@ TEST(CrossCompilation, SameToolchainIsSelfSimilar)
     // full strand overlap.
     for (const auto &proc : a.procs) {
         const int self = sim::sim_score(proc.repr, proc.repr);
-        EXPECT_EQ(self, static_cast<int>(proc.repr.hashes.size()));
+        EXPECT_EQ(self, static_cast<int>(proc.repr.hash_count()));
     }
 }
 

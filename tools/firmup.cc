@@ -41,9 +41,9 @@
  * are persisted to (and warm-loaded from) a content-addressed FWIX v6
  * store in DIR, so a second scan of the same corpus skips
  * lift+canon+finalize entirely. Corrupt or stale entries silently
- * degrade to misses. Store entries are served zero-copy through an
- * mmap-backed index view unless `--no-mmap` asks for the copying
- * parser; `--resident-cache-mb N` additionally keeps deserialized
+ * degrade to misses. An entry is the index's own FWIX v6 arena, so it
+ * is served zero-copy as a view over the mapped file;
+ * `--resident-cache-mb N` additionally keeps loaded and built
  * indexes resident in-process under an LRU byte budget, and
  * `--passes N` reruns the hunt with fresh drivers in one process so
  * later passes hit that resident tier (no store I/O, no re-parse).
@@ -158,13 +158,10 @@ usage()
         "content-addressed index store, so repeat scans of the same\n"
         "executables skip lifting entirely (warm start)\n"
         "search/trace also take:\n"
-        "  --resident-cache-mb N  keep deserialized indexes resident\n"
+        "  --resident-cache-mb N  keep loaded and built indexes resident\n"
         "                         in-process under an N MiB LRU budget\n"
         "                         (0 = ablation: cache wired, holds\n"
         "                         nothing; findings identical)\n"
-        "  --no-mmap              disable the zero-copy FWIX v6 mmap\n"
-        "                         view; store loads use the copying\n"
-        "                         parser (ablation baseline)\n"
         "  --passes N             run the hunt N times with fresh\n"
         "                         drivers in one process (the resident\n"
         "                         cache persists across passes; with\n"
@@ -187,7 +184,7 @@ usage()
         "SIGINT/SIGTERM drain in-flight targets, flush the journal and\n"
         "exit 130 with a partial report; rerun with --resume to finish\n"
         "shard-scan also takes: --worker-threads N (threads per worker),\n"
-        "--index-cache DIR, --no-mmap, --resident-cache-mb N,\n"
+        "--index-cache DIR, --resident-cache-mb N,\n"
         "--heartbeat SEC (stall deadline, default 30), --max-respawns N\n"
         "(default 2), --quiet, --stats-json FILE and --cve-list A,B,C\n");
     return 2;
@@ -514,6 +511,88 @@ cmd_disasm(const std::string &path, const std::string &member, int count)
 }
 
 /**
+ * True for an argument that looks like an option: every verb parses its
+ * known flags first, so a leftover `--x` is a typo or a retired flag,
+ * never a blob path.
+ */
+bool
+is_flag(const std::string &arg)
+{
+    return arg.rfind("--", 0) == 0;
+}
+
+/** Comma-split a --cve-list value (empty segments dropped). */
+std::vector<std::string>
+split_cve_list(const std::string &cve_list)
+{
+    std::vector<std::string> ids;
+    std::size_t start = 0;
+    while (start <= cve_list.size()) {
+        const std::size_t comma = cve_list.find(',', start);
+        const std::size_t stop =
+            comma == std::string::npos ? cve_list.size() : comma;
+        if (stop > start) {
+            ids.push_back(cve_list.substr(start, stop - start));
+        }
+        if (comma == std::string::npos) {
+            break;
+        }
+        start = comma + 1;
+    }
+    return ids;
+}
+
+/**
+ * Resolve hunt ids against the CVE database into @p cves; false (after
+ * naming the unknown id on stderr) when one is not in it.
+ */
+bool
+lookup_cves(const std::vector<std::string> &ids,
+            std::vector<firmware::CveRecord> &cves)
+{
+    for (const std::string &id : ids) {
+        const firmware::CveRecord *cve = nullptr;
+        for (const firmware::CveRecord &record :
+             firmware::cve_database()) {
+            if (record.cve_id == id) {
+                cve = &record;
+            }
+        }
+        if (cve == nullptr) {
+            std::fprintf(stderr, "firmup: unknown CVE %s (try `firmup "
+                                 "cves`)\n",
+                         id.c_str());
+            return false;
+        }
+        cves.push_back(*cve);
+    }
+    return true;
+}
+
+/**
+ * One VULNERABLE line: the classic format for a single-CVE hunt, tagged
+ * with the CVE (@p tag_cve) when a whole list is hunted.
+ */
+void
+print_finding(const std::string &blob, const std::string &exe,
+              const firmware::CveRecord &cve, bool tag_cve,
+              std::uint64_t entry, int sim, int steps)
+{
+    if (tag_cve) {
+        std::printf("%s: %s: VULNERABLE to %s — %s at 0x%llx "
+                    "(Sim=%d, %d game steps)\n",
+                    blob.c_str(), exe.c_str(), cve.cve_id.c_str(),
+                    cve.procedure.c_str(),
+                    static_cast<unsigned long long>(entry), sim, steps);
+    } else {
+        std::printf("%s: %s: VULNERABLE — %s at 0x%llx "
+                    "(Sim=%d, %d game steps)\n",
+                    blob.c_str(), exe.c_str(), cve.procedure.c_str(),
+                    static_cast<unsigned long long>(entry), sim, steps);
+    }
+}
+
+/**
  * The CVE hunt behind both `search` (tracing off unless --stats-json
  * asks for metrics) and `trace` (@p full_trace: Level::Full, Chrome
  * trace JSON written to --trace-out, default trace.json). The first
@@ -549,8 +628,6 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
             if (!parse_int(args[++i], resident_mb) || resident_mb < 0) {
                 return usage();
             }
-        } else if (args[i] == "--no-mmap") {
-            options.mmap_index = false;
         } else if (args[i] == "--passes" && i + 1 < args.size()) {
             if (!parse_int(args[++i], passes) || passes < 1) {
                 return usage();
@@ -589,6 +666,8 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
             }
             options.cancel_after_appends =
                 static_cast<std::size_t>(appends);
+        } else if (is_flag(args[i])) {
+            return usage();  // mistyped, retired or missing its value
         } else {
             positionals.push_back(args[i]);
         }
@@ -597,19 +676,7 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
     // the blob paths, or the comma-separated --cve-list.
     std::vector<std::string> ids;
     if (!cve_list.empty()) {
-        std::size_t start = 0;
-        while (start <= cve_list.size()) {
-            const std::size_t comma = cve_list.find(',', start);
-            const std::size_t stop =
-                comma == std::string::npos ? cve_list.size() : comma;
-            if (stop > start) {
-                ids.push_back(cve_list.substr(start, stop - start));
-            }
-            if (comma == std::string::npos) {
-                break;
-            }
-            start = comma + 1;
-        }
+        ids = split_cve_list(cve_list);
         if (ids.empty()) {
             return usage();
         }
@@ -664,21 +731,8 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
     }
 
     std::vector<firmware::CveRecord> cves;
-    for (const std::string &id : ids) {
-        const firmware::CveRecord *cve = nullptr;
-        for (const firmware::CveRecord &record :
-             firmware::cve_database()) {
-            if (record.cve_id == id) {
-                cve = &record;
-            }
-        }
-        if (cve == nullptr) {
-            std::fprintf(stderr, "firmup: unknown CVE %s (try `firmup "
-                                 "cves`)\n",
-                         id.c_str());
-            return 1;
-        }
-        cves.push_back(*cve);
+    if (!lookup_cves(ids, cves)) {
+        return 1;
     }
     for (const firmware::CveRecord &cve : cves) {
         std::printf("hunting %s: %s in %s (vulnerable <= %s)\n",
@@ -788,25 +842,11 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
                 continue;  // quarantined targets show in the health report
             }
             ++findings;
-            const std::string &blob = blob_paths[static_cast<std::size_t>(
-                co.target.image_index)];
-            if (cves.size() == 1) {
-                std::printf("%s: %s: VULNERABLE — %s at 0x%llx "
-                            "(Sim=%d, %d game steps)\n",
-                            blob.c_str(), co.target.exe->name.c_str(),
-                            cve.procedure.c_str(),
-                            static_cast<unsigned long long>(
-                                co.outcome.matched_entry),
-                            co.outcome.sim, co.outcome.steps);
-            } else {
-                std::printf("%s: %s: VULNERABLE to %s — %s at 0x%llx "
-                            "(Sim=%d, %d game steps)\n",
-                            blob.c_str(), co.target.exe->name.c_str(),
-                            cve.cve_id.c_str(), cve.procedure.c_str(),
-                            static_cast<unsigned long long>(
-                                co.outcome.matched_entry),
-                            co.outcome.sim, co.outcome.steps);
-            }
+            print_finding(blob_paths[static_cast<std::size_t>(
+                              co.target.image_index)],
+                          co.target.exe->name, cve, cves.size() > 1,
+                          co.outcome.matched_entry, co.outcome.sim,
+                          co.outcome.steps);
         }
     }
     const bool cancelled = health.cancelled;
@@ -858,27 +898,6 @@ cmd_search(const std::vector<std::string> &args, bool full_trace)
     return findings > 0 ? 0 : 3;
 }
 
-/** Comma-split a --cve-list value (empty segments dropped). */
-std::vector<std::string>
-split_cve_list(const std::string &cve_list)
-{
-    std::vector<std::string> ids;
-    std::size_t start = 0;
-    while (start <= cve_list.size()) {
-        const std::size_t comma = cve_list.find(',', start);
-        const std::size_t stop =
-            comma == std::string::npos ? cve_list.size() : comma;
-        if (stop > start) {
-            ids.push_back(cve_list.substr(start, stop - start));
-        }
-        if (comma == std::string::npos) {
-            break;
-        }
-        start = comma + 1;
-    }
-    return ids;
-}
-
 /**
  * Hidden `firmup --worker ...` verb: one shard worker of a fleet scan.
  * Spawned by the shard-scan coordinator, never typed by hand — stdout
@@ -917,8 +936,6 @@ cmd_worker(const std::vector<std::string> &args)
             wopt.cve_ids = split_cve_list(args[++i]);
         } else if (args[i] == "--index-cache" && i + 1 < args.size()) {
             wopt.index_cache_dir = args[++i];
-        } else if (args[i] == "--no-mmap") {
-            wopt.mmap_index = false;
         } else if (args[i] == "--resident-cache-mb" &&
                    i + 1 < args.size()) {
             if (!parse_u64(args[++i], u)) {
@@ -934,6 +951,8 @@ cmd_worker(const std::vector<std::string> &args)
             wopt.exit_after_appends = static_cast<std::size_t>(u);
         } else if (args[i] == "--stall") {
             wopt.stall_after_appends = true;
+        } else if (is_flag(args[i])) {
+            return usage();
         } else {
             wopt.blob_paths.push_back(args[i]);
         }
@@ -973,8 +992,6 @@ cmd_shard_scan(const std::vector<std::string> &args)
             sopt.state_dir = args[++i];
         } else if (args[i] == "--index-cache" && i + 1 < args.size()) {
             sopt.index_cache_dir = args[++i];
-        } else if (args[i] == "--no-mmap") {
-            sopt.mmap_index = false;
         } else if (args[i] == "--resident-cache-mb" &&
                    i + 1 < args.size()) {
             if (!parse_u64(args[++i], u)) {
@@ -1008,6 +1025,8 @@ cmd_shard_scan(const std::vector<std::string> &args)
             sopt.kill_first_worker_after = static_cast<std::size_t>(u);
         } else if (args[i] == "--stall-first") {
             sopt.stall_first_worker = true;
+        } else if (is_flag(args[i])) {
+            return usage();
         } else {
             positionals.push_back(args[i]);
         }
@@ -1032,21 +1051,8 @@ cmd_shard_scan(const std::vector<std::string> &args)
         trace::set_level(trace::Level::Metrics);
     }
     std::vector<firmware::CveRecord> cves;
-    for (const std::string &id : ids) {
-        const firmware::CveRecord *cve = nullptr;
-        for (const firmware::CveRecord &record :
-             firmware::cve_database()) {
-            if (record.cve_id == id) {
-                cve = &record;
-            }
-        }
-        if (cve == nullptr) {
-            std::fprintf(stderr, "firmup: unknown CVE %s (try `firmup "
-                                 "cves`)\n",
-                         id.c_str());
-            return 1;
-        }
-        cves.push_back(*cve);
+    if (!lookup_cves(ids, cves)) {
+        return 1;
     }
     if (!sopt.quiet) {
         for (const firmware::CveRecord &cve : cves) {
@@ -1070,25 +1076,9 @@ cmd_shard_scan(const std::vector<std::string> &args)
         return 1;
     }
     for (const eval::FleetFinding &finding : report.findings) {
-        const firmware::CveRecord &cve = cves[finding.cve];
-        const std::string &blob = sopt.blob_paths[finding.blob];
-        if (cves.size() == 1) {
-            std::printf("%s: %s: VULNERABLE — %s at 0x%llx "
-                        "(Sim=%d, %d game steps)\n",
-                        blob.c_str(), finding.exe_name.c_str(),
-                        cve.procedure.c_str(),
-                        static_cast<unsigned long long>(
-                            finding.matched_entry),
-                        finding.sim, finding.steps);
-        } else {
-            std::printf("%s: %s: VULNERABLE to %s — %s at 0x%llx "
-                        "(Sim=%d, %d game steps)\n",
-                        blob.c_str(), finding.exe_name.c_str(),
-                        cve.cve_id.c_str(), cve.procedure.c_str(),
-                        static_cast<unsigned long long>(
-                            finding.matched_entry),
-                        finding.sim, finding.steps);
-        }
+        print_finding(sopt.blob_paths[finding.blob], finding.exe_name,
+                      cves[finding.cve], cves.size() > 1,
+                      finding.matched_entry, finding.sim, finding.steps);
     }
     std::printf("\n%zu finding(s)\n", report.findings.size());
     std::printf(
@@ -1820,10 +1810,15 @@ cmd_bench_json(const std::vector<std::string> &args)
                              a.procs.size() == b.procs.size();
             for (std::size_t p = 0;
                  cold_identical && p < a.procs.size(); ++p) {
+                const strand::ProcedureStrands &ra = a.procs[p].repr;
+                const strand::ProcedureStrands &rb = b.procs[p].repr;
                 cold_identical =
                     a.procs[p].entry == b.procs[p].entry &&
                     a.procs[p].name == b.procs[p].name &&
-                    a.procs[p].repr.hashes == b.procs[p].repr.hashes;
+                    std::equal(ra.hash_data(),
+                               ra.hash_data() + ra.hash_count(),
+                               rb.hash_data(),
+                               rb.hash_data() + rb.hash_count());
             }
         }
         all_identical = all_identical && cold_identical;
@@ -1857,8 +1852,8 @@ cmd_bench_json(const std::vector<std::string> &args)
         // memory — zero store I/O, zero re-parses (asserted below).
         // Speedup compares the lift+index stage wall clock, which is
         // exactly the phase the resident tier short-circuits. Findings
-        // must be bit-identical across baseline, hot, --no-mmap and a
-        // budget-0 resident cache (the exit-enforced flag); the pass
+        // must be bit-identical across baseline, hot and a budget-0
+        // resident cache (the exit-enforced flag); the pass
         // flag additionally requires the >=3x stage win the CI gate
         // asserts.
         const std::string resident_cache_dir =
@@ -1916,13 +1911,8 @@ cmd_bench_json(const std::vector<std::string> &args)
                 hot_rows = std::move(rows);
             }
         }
-        // Ablations, one rep each: the copying parser and a budget-0
-        // resident cache must change nothing but the timings.
-        eval::SearchOptions nomap_opt = ropt;
-        nomap_opt.mmap_index = false;
-        eval::Driver nomap_driver(nomap_opt);
-        const auto nomap_rows =
-            nomap_driver.search_corpus(cve0, targets, hw);
+        // Ablation, one rep: a budget-0 resident cache must change
+        // nothing but the timings.
         sim::ResidentIndexCache empty_resident(0);
         eval::SearchOptions zero_opt = ropt;
         zero_opt.resident_cache = &empty_resident;
@@ -1931,7 +1921,6 @@ cmd_bench_json(const std::vector<std::string> &args)
             zero_driver.search_corpus(cve0, targets, hw);
         const bool resident_identical =
             outcomes_identical(warm_rows, hot_rows) &&
-            outcomes_identical(warm_rows, nomap_rows) &&
             outcomes_identical(warm_rows, zero_rows);
         // Hot scans must never fall back to the store: a single store
         // load (or re-parse) on the resident path is a correctness bug
