@@ -28,33 +28,6 @@ cond_for(MOp op)
     }
 }
 
-template <typename Fn>
-void
-for_each_use(const MInst &inst, Fn fn)
-{
-    switch (inst.kind) {
-      case MInst::Kind::Const:
-      case MInst::Kind::GAddr:
-        break;
-      case MInst::Kind::Copy:
-      case MInst::Kind::Load:
-        fn(inst.a);
-        break;
-      case MInst::Kind::Bin:
-      case MInst::Kind::Store:
-        fn(inst.a);
-        if (inst.b.is_vreg()) {
-            fn(inst.b.reg);
-        }
-        break;
-      case MInst::Kind::Call:
-        for (VReg arg : inst.args) {
-            fn(arg);
-        }
-        break;
-    }
-}
-
 }  // namespace
 
 Backend::Backend(isa::Arch arch, const compiler::ToolchainProfile &profile)

@@ -2,9 +2,9 @@
  * @file
  * Linear-scan register allocation over MIR virtual registers.
  *
- * Intervals are built from iterative liveness; values live across a call
- * are restricted to callee-saved registers so the backends never need to
- * spill around call sites. Values that do not fit are assigned frame
+ * Intervals are built from compiler::compute_live_in; values live
+ * across a call are restricted to callee-saved registers so the backends
+ * never need to spill around call sites. Values that do not fit are assigned frame
  * spill slots; the backends rematerialize them through reserved scratch
  * registers.
  *
@@ -40,9 +40,6 @@ struct Allocation
     std::vector<isa::MReg> used_callee_saved; ///< must be saved/restored
     int num_spill_slots = 0;
 };
-
-/** Per-block live-in sets (indexed like proc.blocks, then by vreg). */
-std::vector<std::vector<bool>> compute_live_in(const compiler::MProc &proc);
 
 /** Allocate registers for @p proc under @p abi. */
 Allocation allocate_registers(const compiler::MProc &proc,

@@ -4,8 +4,11 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <unordered_map>
 
+#include "compiler/liveness.h"
 #include "support/error.h"
+#include "support/hash.h"
 
 namespace firmup::compiler {
 
@@ -62,34 +65,6 @@ log2_of(std::int32_t v)
         ++n;
     }
     return n;
-}
-
-/** Uses of vregs in an instruction, for liveness. */
-template <typename Fn>
-void
-for_each_use(const MInst &inst, Fn fn)
-{
-    switch (inst.kind) {
-      case MInst::Kind::Const:
-      case MInst::Kind::GAddr:
-        break;
-      case MInst::Kind::Copy:
-      case MInst::Kind::Load:
-        fn(inst.a);
-        break;
-      case MInst::Kind::Bin:
-      case MInst::Kind::Store:
-        fn(inst.a);
-        if (inst.b.is_vreg()) {
-            fn(inst.b.reg);
-        }
-        break;
-      case MInst::Kind::Call:
-        for (VReg arg : inst.args) {
-            fn(arg);
-        }
-        break;
-    }
 }
 
 }  // namespace
@@ -222,27 +197,58 @@ propagate_copies(MProc &proc)
 void
 eliminate_common_subexpressions(MProc &proc)
 {
-    for (MBlock &block : proc.blocks) {
-        // Version counters invalidate expressions whose inputs changed.
-        std::map<VReg, int> version;
-        auto ver = [&version](VReg r) {
-            auto it = version.find(r);
-            return it != version.end() ? it->second : 0;
-        };
-        struct Key
+    struct Key
+    {
+        MInst::Kind kind;
+        MOp op;
+        VReg a;
+        int a_ver;
+        bool b_is_vreg;
+        VReg b_reg;
+        int b_ver;
+        std::int32_t imm;
+        int global_index;
+        bool operator==(const Key &) const = default;
+    };
+    struct KeyHash
+    {
+        std::size_t operator()(const Key &k) const
         {
-            MInst::Kind kind;
-            MOp op;
-            VReg a;
-            int a_ver;
-            bool b_is_vreg;
-            VReg b_reg;
-            int b_ver;
-            std::int32_t imm;
-            int global_index;
-            auto operator<=>(const Key &) const = default;
-        };
-        std::map<Key, VReg> available;
+            std::uint64_t h = hash_combine(
+                static_cast<std::uint64_t>(k.kind) << 8 |
+                    static_cast<std::uint64_t>(k.op),
+                std::uint64_t{k.a} << 32 |
+                    static_cast<std::uint32_t>(k.a_ver));
+            h = hash_combine(h, std::uint64_t{k.b_reg} << 32 |
+                                    static_cast<std::uint32_t>(k.b_ver));
+            h = hash_combine(h, std::uint64_t{k.b_is_vreg} << 32 |
+                                    static_cast<std::uint32_t>(k.imm));
+            return static_cast<std::size_t>(hash_combine(
+                h, static_cast<std::uint32_t>(k.global_index)));
+        }
+    };
+    /** Where a key's value lives: dst, valid while dst keeps `ver`. */
+    struct Held
+    {
+        VReg dst;
+        int ver;
+    };
+    // Version counters invalidate expressions whose inputs changed. They
+    // are not reset between blocks: keys only meet keys of their own
+    // block, where equal versions still mean the same definition.
+    std::vector<int> version(proc.next_vreg, 0);
+    auto ver = [&version](VReg r) {
+        return r < version.size() ? version[r] : 0;
+    };
+    auto bump = [&version](VReg r) {
+        if (r >= version.size()) {
+            version.resize(std::size_t{r} + 1, 0);
+        }
+        return ++version[r];
+    };
+    std::unordered_map<Key, Held, KeyHash> available;
+    for (MBlock &block : proc.blocks) {
+        available.clear();
         int load_barrier = 0;  // stores/calls invalidate loads
 
         for (MInst &inst : block.insts) {
@@ -270,24 +276,23 @@ eliminate_common_subexpressions(MProc &proc)
                 inst.kind == MInst::Kind::Call) {
                 ++load_barrier;
             }
+            // An expression whose cached dst was overwritten since it
+            // was published is gone.
             bool reused = false;
             if (key) {
-                auto it = available.find(*key);
-                if (it != available.end()) {
-                    inst = MInst::copy(inst.dst, it->second);
+                const auto it = available.find(*key);
+                if (it != available.end() &&
+                    ver(it->second.dst) == it->second.ver) {
+                    inst = MInst::copy(inst.dst, it->second.dst);
                     reused = true;
                 }
             }
             if (inst.has_dst()) {
-                version[inst.dst] = ver(inst.dst) + 1;
-                // Drop expressions whose cached dst was overwritten...
-                for (auto it = available.begin(); it != available.end();) {
-                    it = it->second == inst.dst ? available.erase(it)
-                                                : std::next(it);
-                }
-                // ...then publish the freshly computed expression.
+                const int dst_ver = bump(inst.dst);
+                // Publish the freshly computed expression.
                 if (key && !reused) {
-                    available[*key] = inst.dst;
+                    available.insert_or_assign(*key,
+                                               Held{inst.dst, dst_ver});
                 }
             }
         }
@@ -297,115 +302,42 @@ eliminate_common_subexpressions(MProc &proc)
 void
 eliminate_dead_code(MProc &proc)
 {
-    const std::size_t n_vregs = proc.next_vreg;
-    std::map<int, std::size_t> block_pos;
-    for (std::size_t i = 0; i < proc.blocks.size(); ++i) {
-        block_pos[proc.blocks[i].id] = i;
-    }
+    const LiveSets live_sets = compute_live_in(proc);
+    const std::size_t words = live_sets.words;
 
-    // Iterative backward liveness to a fixed point.
-    std::vector<std::vector<bool>> live_in(
-        proc.blocks.size(), std::vector<bool>(n_vregs, false));
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (std::size_t bi = proc.blocks.size(); bi-- > 0;) {
-            const MBlock &block = proc.blocks[bi];
-            std::vector<bool> live(n_vregs, false);
-            // live-out = union of successor live-ins.
-            auto absorb = [&](int succ_id) {
-                const auto it = block_pos.find(succ_id);
-                if (it == block_pos.end()) {
-                    return;
-                }
-                const auto &succ_live = live_in[it->second];
-                for (std::size_t v = 0; v < n_vregs; ++v) {
-                    if (succ_live[v]) {
-                        live[v] = true;
-                    }
-                }
-            };
-            switch (block.term.kind) {
-              case MTerm::Kind::Jump:
-                absorb(block.term.target);
-                break;
-              case MTerm::Kind::Branch:
-                absorb(block.term.target);
-                absorb(block.term.fallthrough);
-                if (block.term.cond < n_vregs) {
-                    live[block.term.cond] = true;
-                }
-                break;
-              case MTerm::Kind::Ret:
-                if (block.term.ret_reg < n_vregs) {
-                    live[block.term.ret_reg] = true;
-                }
-                break;
-            }
-            for (std::size_t ii = block.insts.size(); ii-- > 0;) {
-                const MInst &inst = block.insts[ii];
-                if (inst.has_dst() && inst.dst < n_vregs) {
-                    live[inst.dst] = false;
-                }
-                for_each_use(inst, [&live, n_vregs](VReg r) {
-                    if (r < n_vregs) {
-                        live[r] = true;
-                    }
-                });
-            }
-            if (live != live_in[bi]) {
-                live_in[bi] = std::move(live);
-                changed = true;
-            }
-        }
-    }
-
-    // Second pass: delete instructions whose result is dead at that point.
+    // Walk each block backward from its live_end row, keeping an
+    // instruction only when it has side effects or its result is live.
+    std::vector<std::uint64_t> live(words);
+    std::vector<char> keep;
     for (std::size_t bi = 0; bi < proc.blocks.size(); ++bi) {
-        MBlock &block = proc.blocks[bi];
-        std::vector<bool> live(n_vregs, false);
-        auto absorb = [&](int succ_id) {
-            const auto it = block_pos.find(succ_id);
-            if (it == block_pos.end()) {
-                return;
-            }
-            const auto &succ_live = live_in[it->second];
-            for (std::size_t v = 0; v < n_vregs; ++v) {
-                if (succ_live[v]) {
-                    live[v] = true;
-                }
-            }
-        };
-        switch (block.term.kind) {
-          case MTerm::Kind::Jump:
-            absorb(block.term.target);
-            break;
-          case MTerm::Kind::Branch:
-            absorb(block.term.target);
-            absorb(block.term.fallthrough);
-            live[block.term.cond] = true;
-            break;
-          case MTerm::Kind::Ret:
-            live[block.term.ret_reg] = true;
-            break;
-        }
-        std::vector<MInst> kept;
-        kept.reserve(block.insts.size());
-        for (std::size_t ii = block.insts.size(); ii-- > 0;) {
-            MInst &inst = block.insts[ii];
-            const bool needed = inst.has_side_effects() ||
-                                (inst.has_dst() && live[inst.dst]);
-            if (!needed) {
+        std::vector<MInst> &insts = proc.blocks[bi].insts;
+        const std::uint64_t *end = live_sets.end_row(bi);
+        std::copy(end, end + words, live.begin());
+        keep.assign(insts.size(), 0);
+        for (std::size_t ii = insts.size(); ii-- > 0;) {
+            const MInst &inst = insts[ii];
+            if (!inst.has_side_effects() &&
+                !(inst.has_dst() && row_test(live.data(), words, inst.dst))) {
                 continue;
             }
+            keep[ii] = 1;
             if (inst.has_dst()) {
-                live[inst.dst] = false;
+                row_clear(live.data(), words, inst.dst);
             }
-            for_each_use(inst, [&live](VReg r) { live[r] = true; });
-            kept.push_back(std::move(inst));
+            for_each_use(inst, [&live, words](VReg r) {
+                row_set(live.data(), words, r);
+            });
         }
-        std::reverse(kept.begin(), kept.end());
-        block.insts = std::move(kept);
+        std::size_t kept = 0;
+        for (std::size_t ii = 0; ii < insts.size(); ++ii) {
+            if (keep[ii] != 0) {
+                if (kept != ii) {
+                    insts[kept] = std::move(insts[ii]);
+                }
+                ++kept;
+            }
+        }
+        insts.resize(kept);
     }
 }
 

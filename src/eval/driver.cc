@@ -285,10 +285,9 @@ Driver::build_query_impl(const std::string &package,
     // Hunt fast lane: a warm store serves the finalized query index
     // under its recipe key, skipping compile + lift + canonicalize —
     // the FWIX round-trip is bit-faithful (hashes, postings, block
-    // summaries), so outcomes are identical to a fresh build. The
-    // baseline graph is intentionally not rebuilt here: the hunt path
-    // never reads it, and building it would need the lifted executable
-    // this lane exists to avoid.
+    // summaries), so outcomes are identical to a fresh build. The hunt
+    // path never reads the baseline graph, so neither hunt lane builds
+    // it: cold and store-served hunt queries are the same object.
     sim::IndexCacheStore *const store = hunt ? cache_store() : nullptr;
     const std::uint64_t recipe =
         store != nullptr
@@ -329,7 +328,9 @@ Driver::build_query_impl(const std::string &package,
     query.qv = query.index.find_by_name(procedure);
     FIRMUP_ASSERT(query.qv >= 0,
                   "query procedure missing: " + procedure);
-    query.graph = baseline::graph_index(lifted.value());
+    if (!hunt) {
+        query.graph = baseline::graph_index(lifted.value());
+    }
     if (store != nullptr) {
         if (auto written = store->store(recipe, query.index);
             written.ok()) {

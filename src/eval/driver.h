@@ -136,10 +136,11 @@ struct Query
     sim::ExecutableIndex index;
     int qv = -1;                ///< index of the query procedure
     /**
-     * Structural index for the BinDiff baseline. Empty when the query
-     * was served from the persistent index store on the hunt path
-     * (search_corpus/search_corpus_batch never read it); build_query
-     * always fills it, which is what the baseline experiments use.
+     * Structural index for the BinDiff baseline. Empty on the hunt path
+     * (search_corpus/search_corpus_batch never read it), whether the
+     * query was built cold or served from the persistent index store;
+     * build_query always fills it, which is what the baseline
+     * experiments use.
      */
     baseline::GraphIndex graph;
 };
@@ -440,9 +441,10 @@ class Driver
      * build_query with the hunt-path fast lane: when @p hunt is true
      * and a persistent store is configured, the finalized query index
      * is served from (or written back to) the store under its recipe
-     * key, skipping compile + lift + canonicalize on warm runs. A
-     * store-served query has an empty baseline graph — the hunt never
-     * reads it. @p hunt false is the full build (public build_query).
+     * key, skipping compile + lift + canonicalize on warm runs. A hunt
+     * query, cold or store-served, has an empty baseline graph — the
+     * hunt never reads it. @p hunt false is the full build (public
+     * build_query).
      */
     Query build_query_impl(const std::string &package,
                            const std::string &procedure,

@@ -1,7 +1,6 @@
 #include "lifter/cfg.h"
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 #include "isa/arm.h"
@@ -23,19 +22,22 @@ const trace::Counter c_blocks("lift.blocks");
 struct DecodedInst
 {
     isa::MachInst inst;
+    std::uint64_t addr = 0;
     int size = 0;
     Flow flow;
     std::uint64_t call_target = 0;  ///< nonzero for direct calls
     bool is_call = false;
 };
 
-/** Decode + classify one instruction (lifting into a throwaway block). */
+/**
+ * Decode + classify one instruction, lifting it into @p scratch (cleared
+ * first; reused across calls so its statement storage is too).
+ */
 Result<DecodedInst>
 decode_classify(const isa::Target &target, const loader::Executable &exe,
-                std::uint64_t addr)
+                std::uint64_t addr, ir::Block &scratch)
 {
-    if (addr < exe.text_addr ||
-        addr >= exe.text_addr + exe.text.size()) {
+    if (!exe.in_text(addr)) {
         return Result<DecodedInst>::error(ErrorCode::UndecodableInsn,
                                           "address outside text");
     }
@@ -49,8 +51,9 @@ decode_classify(const isa::Target &target, const loader::Executable &exe,
     }
     DecodedInst out;
     out.inst = decoded.value().inst;
+    out.addr = addr;
     out.size = decoded.value().size;
-    ir::Block scratch;
+    scratch.stmts.clear();
     LiftState state;
     out.flow = lift_inst(target.arch, out.inst, addr, state, scratch);
     for (const ir::Stmt &s : scratch.stmts) {
@@ -90,55 +93,66 @@ is_prologue(isa::Arch arch, const isa::MachInst &inst)
     return false;
 }
 
-/** Discovers and lifts one procedure; records call targets. */
+/**
+ * Discovers and lifts the procedures of one executable, one at a time,
+ * and tracks which text bytes they claimed.
+ *
+ * A procedure's decoded instructions sit in a pool addressed through a
+ * table over the text section; a table slot belongs to the current
+ * procedure only when its stamp equals the procedure's epoch, so moving
+ * on to the next procedure clears nothing.
+ */
 class ProcLifter
 {
   public:
     ProcLifter(const isa::Target &target, const loader::Executable &exe)
         : target_(target), exe_(exe),
-          is_mips_(target.arch == isa::Arch::Mips32)
+          is_mips_(target.arch == isa::Arch::Mips32),
+          stamp_(exe.text.size(), 0), slot_(exe.text.size(), 0),
+          claimed_(exe.text.size(), 0)
     {
     }
 
+    /** Did a lifted procedure decode an instruction at @p addr? */
+    bool claimed(std::uint64_t addr) const
+    {
+        return exe_.in_text(addr) && claimed_[offset(addr)] != 0;
+    }
+
     /**
-     * Lift the procedure at @p entry.
-     * @param claimed global set of instruction addresses; extended with
-     *        this procedure's instructions.
-     * @param call_targets out: direct call targets found.
+     * Lift the procedure at @p entry, claiming its instructions on
+     * success.
+     * @param call_targets out: direct call targets found, in decode
+     *        order, possibly repeated.
      */
     Result<ir::Procedure>
-    lift(std::uint64_t entry, std::set<std::uint64_t> &claimed,
-         std::set<std::uint64_t> &call_targets)
+    lift(std::uint64_t entry, std::vector<std::uint64_t> &call_targets)
     {
-        leaders_ = {entry};
-        std::set<std::uint64_t> explored;
+        ++epoch_;
+        insts_.clear();
+        leaders_.assign(1, entry);
         std::vector<std::uint64_t> work{entry};
 
-        // Pass A: discover leaders and instruction runs.
+        // Pass A: discover leaders and instruction runs. A start address
+        // decoded before stops at once, and one that failed to decode
+        // fails again, so revisits need no explored set.
         while (!work.empty()) {
             std::uint64_t addr = work.back();
             work.pop_back();
-            if (explored.contains(addr)) {
-                continue;
-            }
-            explored.insert(addr);
             while (true) {
-                if (insts_.contains(addr)) {
+                if (find(addr) != nullptr) {
                     break;  // ran into already-decoded code
                 }
-                auto di = decode_classify(target_, exe_, addr);
+                auto di = decode_classify(target_, exe_, addr, scratch_);
                 if (!di.ok()) {
                     // Lifter bail-out (paper 3.1: tools "may still fail
                     // to identify several blocks"); keep what we have.
                     break;
                 }
-                insts_[addr] = di.value();
-                if (di.value().is_call && di.value().call_target != 0) {
-                    call_targets.insert(di.value().call_target);
-                }
+                const DecodedInst &inst = record(di.value(), call_targets);
                 const std::uint64_t next =
-                    addr + static_cast<std::uint64_t>(di.value().size);
-                const Flow flow = di.value().flow;
+                    addr + static_cast<std::uint64_t>(inst.size);
+                const Flow flow = inst.flow;
                 if (flow.kind == Flow::Kind::Normal) {
                     addr = next;
                     continue;
@@ -146,26 +160,24 @@ class ProcLifter
                 // Control transfer: account for the MIPS delay slot.
                 std::uint64_t after = next;
                 if (is_mips_) {
-                    auto slot = decode_classify(target_, exe_, next);
+                    auto slot =
+                        decode_classify(target_, exe_, next, scratch_);
                     if (slot.ok()) {
-                        insts_[next] = slot.value();
-                        if (slot.value().is_call &&
-                            slot.value().call_target != 0) {
-                            call_targets.insert(slot.value().call_target);
-                        }
                         after = next + static_cast<std::uint64_t>(
-                                           slot.value().size);
+                                           record(slot.value(),
+                                                  call_targets)
+                                               .size);
                     }
                 }
                 switch (flow.kind) {
                   case Flow::Kind::Branch:
-                    leaders_.insert(flow.target);
-                    leaders_.insert(after);
+                    leaders_.push_back(flow.target);
+                    leaders_.push_back(after);
                     work.push_back(flow.target);
                     work.push_back(after);
                     break;
                   case Flow::Kind::Jump:
-                    leaders_.insert(flow.target);
+                    leaders_.push_back(flow.target);
                     work.push_back(flow.target);
                     break;
                   case Flow::Kind::Ret:
@@ -176,46 +188,91 @@ class ProcLifter
             }
         }
 
-        // Pass B: build blocks leader-by-leader.
+        // Pass B: build blocks leader-by-leader, in address order.
+        std::sort(leaders_.begin(), leaders_.end());
+        leaders_.erase(std::unique(leaders_.begin(), leaders_.end()),
+                       leaders_.end());
         ir::Procedure proc;
         proc.entry = entry;
         for (std::uint64_t leader : leaders_) {
-            if (!insts_.contains(leader)) {
+            if (find(leader) == nullptr) {
                 continue;  // unlifted region (decode failure)
             }
-            build_block(proc, leader);
+            build_block(leader);
+            proc.blocks.emplace_hint(proc.blocks.end(), leader, block_);
         }
         if (proc.blocks.empty()) {
             return Result<ir::Procedure>::error(
                 ErrorCode::LiftBailout, "no decodable block at entry");
         }
-        for (const auto &[addr, di] : insts_) {
-            claimed.insert(addr);
+        for (const DecodedInst &di : insts_) {
+            claimed_[offset(di.addr)] = 1;
         }
         return proc;
     }
 
   private:
-    void
-    build_block(ir::Procedure &proc, std::uint64_t leader)
+    std::size_t offset(std::uint64_t addr) const
     {
-        ir::Block block;
-        block.addr = leader;
+        return static_cast<std::size_t>(addr - exe_.text_addr);
+    }
+
+    /** This procedure's instruction at @p addr, or nullptr. */
+    const DecodedInst *find(std::uint64_t addr) const
+    {
+        if (!exe_.in_text(addr) || stamp_[offset(addr)] != epoch_) {
+            return nullptr;
+        }
+        return &insts_[slot_[offset(addr)]];
+    }
+
+    /** Record @p di (replacing an earlier decode at its address). */
+    const DecodedInst &
+    record(const DecodedInst &di, std::vector<std::uint64_t> &call_targets)
+    {
+        if (di.is_call && di.call_target != 0) {
+            call_targets.push_back(di.call_target);
+        }
+        const std::size_t off = offset(di.addr);
+        if (stamp_[off] == epoch_) {
+            return insts_[slot_[off]] = di;
+        }
+        stamp_[off] = epoch_;
+        slot_[off] = static_cast<std::uint32_t>(insts_.size());
+        return insts_.emplace_back(di);
+    }
+
+    bool is_leader(std::uint64_t addr) const
+    {
+        return std::binary_search(leaders_.begin(), leaders_.end(), addr);
+    }
+
+    /**
+     * Build the block at @p leader into block_, whose statement storage
+     * is reused from block to block (the procedure keeps an exact-size
+     * copy).
+     */
+    void
+    build_block(std::uint64_t leader)
+    {
+        std::vector<ir::Stmt> stmts = std::move(block_.stmts);
+        stmts.clear();
+        block_ = ir::Block{leader, std::move(stmts)};
+        ir::Block &block = block_;
         LiftState state;
         std::uint64_t addr = leader;
         while (true) {
-            const auto it = insts_.find(addr);
-            if (it == insts_.end()) {
+            const DecodedInst *di = find(addr);
+            if (di == nullptr) {
                 // Decode hole: end the block conservatively.
                 block.end = ir::BlockEndKind::Ret;
                 break;
             }
-            const DecodedInst &di = it->second;
             const std::uint64_t next =
-                addr + static_cast<std::uint64_t>(di.size);
-            if (di.flow.kind == Flow::Kind::Normal) {
-                lift_inst(target_.arch, di.inst, addr, state, block);
-                if (leaders_.contains(next)) {
+                addr + static_cast<std::uint64_t>(di->size);
+            if (di->flow.kind == Flow::Kind::Normal) {
+                lift_inst(target_.arch, di->inst, addr, state, block);
+                if (is_leader(next)) {
                     block.end = ir::BlockEndKind::Fallthrough;
                     block.fallthrough = next;
                     break;
@@ -231,24 +288,22 @@ class ProcLifter
             // block-boundary fix.
             std::uint64_t after = next;
             if (is_mips_) {
-                const auto slot = insts_.find(next);
-                if (slot != insts_.end()) {
-                    lift_inst(target_.arch, slot->second.inst, next, state,
+                if (const DecodedInst *slot = find(next); slot != nullptr) {
+                    lift_inst(target_.arch, slot->inst, next, state,
                               block);
-                    after = next + static_cast<std::uint64_t>(
-                                       slot->second.size);
+                    after = next + static_cast<std::uint64_t>(slot->size);
                 }
             }
-            lift_inst(target_.arch, di.inst, addr, state, block);
-            switch (di.flow.kind) {
+            lift_inst(target_.arch, di->inst, addr, state, block);
+            switch (di->flow.kind) {
               case Flow::Kind::Branch:
                 block.end = ir::BlockEndKind::CondJump;
-                block.target = di.flow.target;
+                block.target = di->flow.target;
                 block.fallthrough = after;
                 break;
               case Flow::Kind::Jump:
                 block.end = ir::BlockEndKind::Jump;
-                block.target = di.flow.target;
+                block.target = di->flow.target;
                 break;
               default:
                 block.end = ir::BlockEndKind::Ret;
@@ -256,14 +311,22 @@ class ProcLifter
             }
             break;
         }
-        proc.blocks[leader] = std::move(block);
     }
 
     const isa::Target &target_;
     const loader::Executable &exe_;
     const bool is_mips_;
-    std::set<std::uint64_t> leaders_;
-    std::map<std::uint64_t, DecodedInst> insts_;
+    /** Per text byte: epoch of the procedure that decoded it there. */
+    std::vector<std::uint32_t> stamp_;
+    /** Per text byte: its instruction's index in insts_ (when stamped). */
+    std::vector<std::uint32_t> slot_;
+    /** Per text byte: 1 when a lifted procedure decoded it. */
+    std::vector<std::uint8_t> claimed_;
+    std::uint32_t epoch_ = 0;
+    std::vector<DecodedInst> insts_;       ///< this procedure's, pooled
+    std::vector<std::uint64_t> leaders_;   ///< sorted before pass B
+    ir::Block scratch_;                    ///< decode_classify's block
+    ir::Block block_;                      ///< build_block's block
 };
 
 }  // namespace
@@ -314,12 +377,12 @@ lift_executable(const loader::Executable &exe, const LiftOptions &options)
     out.data_end = exe.data_addr + exe.data.size();
     const isa::Target &target = isa::target_for(out.arch);
 
-    std::set<std::uint64_t> entries;
-    std::set<std::uint64_t> claimed;
+    ProcLifter lifter(target, exe);
+    std::vector<std::uint8_t> is_entry(exe.text.size(), 0);
     std::vector<std::uint64_t> work;
     auto add_entry = [&](std::uint64_t addr) {
-        if (addr >= out.text_addr && addr < out.text_end &&
-            entries.insert(addr).second) {
+        if (exe.in_text(addr) && is_entry[addr - out.text_addr] == 0) {
+            is_entry[addr - out.text_addr] = 1;
             work.push_back(addr);
         }
     };
@@ -328,6 +391,7 @@ lift_executable(const loader::Executable &exe, const LiftOptions &options)
         add_entry(sym.addr);
     }
 
+    std::vector<std::uint64_t> call_targets;
     auto drain = [&] {
         while (!work.empty()) {
             const std::uint64_t entry = work.back();
@@ -335,15 +399,15 @@ lift_executable(const loader::Executable &exe, const LiftOptions &options)
             if (out.procs.contains(entry)) {
                 continue;
             }
-            ProcLifter lifter(target, exe);
-            std::set<std::uint64_t> call_targets;
-            auto proc = lifter.lift(entry, claimed, call_targets);
+            call_targets.clear();
+            auto proc = lifter.lift(entry, call_targets);
             if (!proc.ok()) {
                 continue;  // undecodable entry (corrupt or data)
             }
             proc.value().name = exe.symbol_at(
                 static_cast<std::uint32_t>(entry));
             out.procs[entry] = std::move(proc).take();
+            std::sort(call_targets.begin(), call_targets.end());
             for (std::uint64_t t : call_targets) {
                 add_entry(t);
             }
@@ -356,7 +420,7 @@ lift_executable(const loader::Executable &exe, const LiftOptions &options)
         // seeds another discovery round (its callees follow).
         for (std::uint64_t addr = out.text_addr; addr + 4 <= out.text_end;
              addr += 4) {
-            if (claimed.contains(addr) || entries.contains(addr)) {
+            if (lifter.claimed(addr) || is_entry[addr - out.text_addr]) {
                 continue;
             }
             const std::size_t offset =

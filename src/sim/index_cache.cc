@@ -112,7 +112,16 @@ Result<std::size_t>
 IndexCacheStore::store(std::uint64_t content_key,
                        const ExecutableIndex &index) const
 {
-    const ByteBuffer bytes = serialize_index(index);
+    // A finalized index is its arena: write it as it is. Only a
+    // never-finalized one is packed, on a copy.
+    ByteBuffer packed;
+    const std::uint8_t *bytes = index.arena;
+    std::size_t size = index.arena_bytes;
+    if (bytes == nullptr) {
+        packed = serialize_index(index);
+        bytes = packed.data();
+        size = packed.size();
+    }
     const std::string path = path_for(content_key);
     // Unique per writer: concurrent stores of the same key each write
     // their own temp file and the last rename wins atomically.
@@ -122,8 +131,8 @@ IndexCacheStore::store(std::uint64_t content_key,
             std::this_thread::get_id())));
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out.write(reinterpret_cast<const char *>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
+        out.write(reinterpret_cast<const char *>(bytes),
+                  static_cast<std::streamsize>(size));
         if (!out) {
             std::error_code ec;
             fs::remove(tmp, ec);
@@ -178,7 +187,7 @@ IndexCacheStore::store(std::uint64_t content_key,
     // data blocks survive. Best-effort: a store that cannot sync its
     // directory still published a readable entry for this boot.
     fsync_dir(dir_);
-    return bytes.size();
+    return size;
 }
 
 // ---- ResidentIndexCache ------------------------------------------------

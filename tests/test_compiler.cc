@@ -1,15 +1,19 @@
 /**
  * @file
  * Unit tests for the compiler substrate: AST lowering, optimization
- * passes, CFG reshaping (merge/rotate), inlining and toolchain profiles.
+ * passes, CFG reshaping (merge/rotate), inlining, toolchain profiles and
+ * the bitset liveness analysis (against a per-vreg reference).
  */
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
+#include "compiler/liveness.h"
 #include "compiler/lower.h"
 #include "compiler/passes.h"
 #include "compiler/toolchain.h"
+#include "firmware/catalog.h"
 #include "lang/generate.h"
 #include "support/rng.h"
 
@@ -360,6 +364,282 @@ TEST(Toolchain, CatalogIsConsistent)
         EXPECT_TRUE(names.insert(p.name).second) << "duplicate name";
         EXPECT_EQ(toolchain_by_name(p.name).name, p.name);
     }
+}
+
+// ---- liveness ----------------------------------------------------------
+
+/** Reference liveness: one vector<bool> per block, one vreg at a time. */
+struct ReferenceLiveness
+{
+    std::vector<std::vector<bool>> live_in;
+    std::vector<std::vector<bool>> live_end;
+};
+
+ReferenceLiveness
+reference_liveness(const MProc &proc)
+{
+    const std::size_t n_vregs = proc.next_vreg;
+    std::map<int, std::size_t> block_pos;
+    for (std::size_t i = 0; i < proc.blocks.size(); ++i) {
+        block_pos[proc.blocks[i].id] = i;
+    }
+    ReferenceLiveness ref;
+    ref.live_in.assign(proc.blocks.size(),
+                       std::vector<bool>(n_vregs, false));
+    ref.live_end = ref.live_in;
+    auto mark = [n_vregs](std::vector<bool> &live, VReg r, bool value) {
+        if (r < n_vregs) {
+            live[r] = value;
+        }
+    };
+    auto end_of = [&](const MBlock &block) {
+        std::vector<bool> live(n_vregs, false);
+        auto absorb = [&](int succ_id) {
+            const auto it = block_pos.find(succ_id);
+            if (it == block_pos.end()) {
+                return;
+            }
+            for (std::size_t v = 0; v < n_vregs; ++v) {
+                if (ref.live_in[it->second][v]) {
+                    live[v] = true;
+                }
+            }
+        };
+        switch (block.term.kind) {
+          case MTerm::Kind::Jump:
+            absorb(block.term.target);
+            break;
+          case MTerm::Kind::Branch:
+            absorb(block.term.target);
+            absorb(block.term.fallthrough);
+            mark(live, block.term.cond, true);
+            break;
+          case MTerm::Kind::Ret:
+            mark(live, block.term.ret_reg, true);
+            break;
+        }
+        return live;
+    };
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (std::size_t bi = proc.blocks.size(); bi-- > 0;) {
+            const MBlock &block = proc.blocks[bi];
+            std::vector<bool> live = end_of(block);
+            for (std::size_t ii = block.insts.size(); ii-- > 0;) {
+                const MInst &inst = block.insts[ii];
+                if (inst.has_dst()) {
+                    mark(live, inst.dst, false);
+                }
+                for_each_use(inst,
+                             [&](VReg r) { mark(live, r, true); });
+            }
+            if (live != ref.live_in[bi]) {
+                ref.live_in[bi] = std::move(live);
+                changed = true;
+            }
+        }
+    }
+    for (std::size_t bi = 0; bi < proc.blocks.size(); ++bi) {
+        ref.live_end[bi] = end_of(proc.blocks[bi]);
+    }
+    return ref;
+}
+
+/** Row @p row of @p words words as a vector<bool> over @p n vregs. */
+std::vector<bool>
+row_bits(const std::uint64_t *row, std::size_t words, std::size_t n)
+{
+    std::vector<bool> out(n, false);
+    for (std::size_t v = 0; v < n; ++v) {
+        out[v] = row_test(row, words, static_cast<VReg>(v));
+    }
+    // No bit beyond next_vreg may be set, and for_each_vreg must agree.
+    std::vector<bool> walked(n, false);
+    for_each_vreg(row, words, [&](VReg v) {
+        EXPECT_LT(v, n);
+        if (v < n) {
+            walked[v] = true;
+        }
+    });
+    EXPECT_EQ(walked, out);
+    return out;
+}
+
+void
+expect_liveness_matches_reference(const MProc &proc,
+                                  const std::string &where)
+{
+    const LiveSets live = compute_live_in(proc);
+    const ReferenceLiveness ref = reference_liveness(proc);
+    ASSERT_EQ(live.words, (proc.next_vreg + 63u) / 64u) << where;
+    ASSERT_EQ(live.live_in.size(), proc.blocks.size() * live.words);
+    ASSERT_EQ(live.live_end.size(), proc.blocks.size() * live.words);
+    for (std::size_t b = 0; b < proc.blocks.size(); ++b) {
+        EXPECT_EQ(row_bits(live.in_row(b), live.words, proc.next_vreg),
+                  ref.live_in[b])
+            << where << " block " << b << " live_in";
+        EXPECT_EQ(row_bits(live.end_row(b), live.words, proc.next_vreg),
+                  ref.live_end[b])
+            << where << " block " << b << " live_end";
+    }
+}
+
+TEST(Liveness, MatchesReferenceOnEveryCatalogPackageAndProfile)
+{
+    std::vector<ToolchainProfile> profiles = vendor_toolchains();
+    profiles.push_back(gcc_like_toolchain());
+    std::size_t checked = 0;
+    for (const firmware::PackageSpec &pkg : firmware::package_catalog()) {
+        const lang::PackageSource source =
+            firmware::generate_package_source(pkg, pkg.versions.back());
+        const MModule lowered = lower_package(source);
+        for (const MProc &proc : lowered.procs) {
+            expect_liveness_matches_reference(
+                proc, pkg.name + "/" + proc.name + " (lowered)");
+            ++checked;
+        }
+        for (const ToolchainProfile &profile : profiles) {
+            MModule module = lowered;
+            optimize_module(module, profile);
+            for (const MProc &proc : module.procs) {
+                expect_liveness_matches_reference(
+                    proc, pkg.name + "/" + proc.name + " (" +
+                              profile.name + ")");
+                ++checked;
+            }
+        }
+    }
+    EXPECT_GT(checked, 0u);
+}
+
+/**
+ * A random CFG over @p n_vregs vregs whose highest vreg is used late and
+ * defined early, so live bits cross word boundaries. Block ids are
+ * sparse and one edge names no block.
+ */
+MProc
+random_proc(VReg n_vregs, Rng &rng)
+{
+    MProc proc;
+    proc.name = "r" + std::to_string(n_vregs);
+    proc.num_params = 2;
+    proc.next_vreg = n_vregs;
+    const int n_blocks = static_cast<int>(rng.range(2, 8));
+    auto any_vreg = [&] {
+        return static_cast<VReg>(rng.index(n_vregs));
+    };
+    auto high_vreg = [&] {
+        return static_cast<VReg>(n_vregs - 1 - rng.index(3));
+    };
+    for (int b = 0; b < n_blocks; ++b) {
+        MBlock block;
+        block.id = 10 * b + 3;
+        const int n_insts = static_cast<int>(rng.range(0, 12));
+        for (int i = 0; i < n_insts; ++i) {
+            const VReg dst = rng.chance(1, 3) ? high_vreg() : any_vreg();
+            switch (rng.index(5)) {
+              case 0:
+                block.insts.push_back(MInst::make_const(dst, i));
+                break;
+              case 1:
+                block.insts.push_back(MInst::copy(dst, any_vreg()));
+                break;
+              case 2:
+                block.insts.push_back(MInst::bin(
+                    dst, MOp::Add, high_vreg(),
+                    rng.chance(1, 2) ? MVal::vreg(any_vreg())
+                                     : MVal::immediate(1)));
+                break;
+              case 3:
+                block.insts.push_back(MInst::store(any_vreg(), high_vreg()));
+                break;
+              default:
+                block.insts.push_back(MInst::call(
+                    dst, 0, {any_vreg(), high_vreg(), any_vreg()}));
+                break;
+            }
+        }
+        auto some_block = [&] {
+            return rng.chance(1, 10)
+                       ? 999  // names no block
+                       : 10 * static_cast<int>(rng.index(
+                                  static_cast<std::size_t>(n_blocks))) +
+                             3;
+        };
+        switch (rng.index(3)) {
+          case 0:
+            block.term = MTerm::jump(some_block());
+            break;
+          case 1:
+            block.term = MTerm::branch(high_vreg(), some_block(),
+                                       some_block());
+            break;
+          default:
+            block.term = MTerm::ret(rng.chance(1, 2) ? high_vreg()
+                                                     : any_vreg());
+            break;
+        }
+        proc.blocks.push_back(std::move(block));
+    }
+    return proc;
+}
+
+TEST(Liveness, MatchesReferenceAcrossWordBoundaries)
+{
+    // No vregs at all: empty rows, and a Ret naming vreg 0 adds nothing.
+    MProc empty;
+    empty.blocks.resize(2);
+    empty.blocks[0].id = 0;
+    empty.blocks[0].term = MTerm::jump(1);
+    empty.blocks[1].id = 1;
+    empty.blocks[1].term = MTerm::ret(0);
+    expect_liveness_matches_reference(empty, "next_vreg 0");
+    for (VReg n : {VReg{1}, VReg{63}, VReg{64}, VReg{65}, VReg{129}}) {
+        Rng rng(n);
+        for (int trial = 0; trial < 50; ++trial) {
+            const MProc proc = random_proc(n, rng);
+            expect_liveness_matches_reference(
+                proc, "next_vreg " + std::to_string(n) + " trial " +
+                          std::to_string(trial));
+        }
+    }
+}
+
+TEST(Liveness, LoopCarriesHighVregAcrossBackEdge)
+{
+    // b0: v128 = 7; jump b1
+    // b1: v64 = v128 + v63; branch v64 ? b1 : b2
+    // b2: ret v128
+    MProc proc;
+    proc.next_vreg = 129;
+    MBlock b0;
+    b0.id = 0;
+    b0.insts.push_back(MInst::make_const(128, 7));
+    b0.term = MTerm::jump(1);
+    MBlock b1;
+    b1.id = 1;
+    b1.insts.push_back(MInst::bin(64, MOp::Add, 128, MVal::vreg(63)));
+    b1.term = MTerm::branch(64, 1, 2);
+    MBlock b2;
+    b2.id = 2;
+    b2.term = MTerm::ret(128);
+    proc.blocks = {b0, b1, b2};
+    const LiveSets live = compute_live_in(proc);
+    ASSERT_EQ(live.words, 3u);
+    std::vector<VReg> in0;
+    for_each_vreg(live.in_row(0), live.words,
+                  [&](VReg v) { in0.push_back(v); });
+    std::vector<VReg> in1;
+    for_each_vreg(live.in_row(1), live.words,
+                  [&](VReg v) { in1.push_back(v); });
+    std::vector<VReg> end1;
+    for_each_vreg(live.end_row(1), live.words,
+                  [&](VReg v) { end1.push_back(v); });
+    EXPECT_EQ(in0, (std::vector<VReg>{63}));
+    EXPECT_EQ(in1, (std::vector<VReg>{63, 128}));
+    EXPECT_EQ(end1, (std::vector<VReg>{63, 64, 128}));
+    expect_liveness_matches_reference(proc, "loop");
 }
 
 }  // namespace
