@@ -351,8 +351,8 @@ void
 BM_SearchCorpus(benchmark::State &state)
 {
     // Full corpus fan-out at N worker threads (Arg). Thread 1 is the
-    // serial reference; the hardware-concurrency row shows the
-    // parallel_for scaling of eval::Driver::search_corpus.
+    // serial reference; the hardware-concurrency row shows how
+    // eval::Driver::search_corpus scales on the work-stealing scheduler.
     static const firmware::Corpus corpus = firmware::build_corpus();
     static const std::vector<eval::CorpusTarget> targets =
         eval::corpus_targets(corpus);

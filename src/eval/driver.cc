@@ -13,7 +13,7 @@
 #include "support/hash.h"
 #include "support/retry.h"
 #include "support/str.h"
-#include "support/threadpool.h"
+#include "support/scheduler.h"
 #include "support/trace.h"
 
 namespace firmup::eval {
@@ -409,15 +409,11 @@ Driver::note_healthy(std::uint64_t key)
     }
 }
 
-const lifter::LiftedExecutable *
-Driver::lift_cached(const loader::Executable &exe, std::uint64_t key)
+std::optional<lifter::LiftedExecutable>
+Driver::lift_target(const loader::Executable &exe, std::uint64_t key)
 {
-    auto it = lift_cache_.find(key);
-    if (it != lift_cache_.end()) {
-        return &it->second;
-    }
     if (quarantined_.contains(key)) {
-        return nullptr;
+        return std::nullopt;
     }
     auto lifted = lift_untrusted(exe);
     if (!lifted.ok()) {
@@ -427,11 +423,10 @@ Driver::lift_cached(const loader::Executable &exe, std::uint64_t key)
         quarantined_.insert(key);
         health_.note_quarantine(exe.name, lifted.error_code(),
                                 lifted.error_message());
-        return nullptr;
+        return std::nullopt;
     }
     note_healthy(key);
-    return &lift_cache_.emplace(key, std::move(lifted).take())
-                .first->second;
+    return std::move(lifted).take();
 }
 
 const sim::ExecutableIndex *
@@ -491,8 +486,8 @@ Driver::index_target(const loader::Executable &exe, std::uint64_t key)
         ++health_.cache_misses;
         c_cache_misses.add();
     }
-    const lifter::LiftedExecutable *lifted = lift_cached(exe, key);
-    if (lifted == nullptr) {
+    const auto lifted = lift_target(exe, key);
+    if (!lifted) {
         return nullptr;
     }
     auto index = std::make_shared<const sim::ExecutableIndex>(
@@ -515,12 +510,12 @@ const baseline::GraphIndex *
 Driver::graph_target(const loader::Executable &exe)
 {
     const std::uint64_t key = content_key(exe);
-    const lifter::LiftedExecutable *lifted = lift_cached(exe, key);
-    if (lifted == nullptr) {
-        return nullptr;
-    }
     auto it = graph_cache_.find(key);
     if (it == graph_cache_.end()) {
+        const auto lifted = lift_target(exe, key);
+        if (!lifted) {
+            return nullptr;
+        }
         it = graph_cache_.emplace(key, baseline::graph_index(*lifted))
                  .first;
     }
@@ -600,7 +595,6 @@ Driver::index_many(const std::vector<KeyedExe> &work, unsigned threads)
         bool cache_miss = false;  ///< store consulted and missed
         ErrorCode code = ErrorCode::Unknown;
         std::string message;
-        lifter::LiftedExecutable lifted;
         sim::ExecutableIndex index;
         std::shared_ptr<const sim::ExecutableIndex> resident;
         sim::IndexCacheStore::LoadStats load_stats;
@@ -618,7 +612,7 @@ Driver::index_many(const std::vector<KeyedExe> &work, unsigned threads)
     const CancelToken *const cancel = options_.cancel;
     const RetryPolicy retry_policy{options_.max_target_retries,
                                    options_.retry_backoff_seconds};
-    ThreadPool::parallel_for(
+    WorkStealingScheduler::run(
         resolve_worker_threads(threads), work.size(), [&](std::size_t i) {
             // Cancellation point: an unattempted slot leaves no trace —
             // no health accounting, no quarantine — so a resume retries
@@ -654,19 +648,22 @@ Driver::index_many(const std::vector<KeyedExe> &work, unsigned threads)
                 }
                 slots[i].cache_miss = true;
             }
-            auto result = retry_transient(
-                retry_policy, cancel,
-                [&] { return lift_untrusted(*work[i].exe); },
-                &slots[i].retries);
-            if (!result.ok()) {
-                slots[i].code = result.error_code();
-                slots[i].message = result.error_message();
-                return;
+            {
+                // The µIR is only a step toward the index: it lives in
+                // this scope and is freed here, in the worker.
+                const auto lifted = retry_transient(
+                    retry_policy, cancel,
+                    [&] { return lift_untrusted(*work[i].exe); },
+                    &slots[i].retries);
+                if (!lifted.ok()) {
+                    slots[i].code = lifted.error_code();
+                    slots[i].message = lifted.error_message();
+                    return;
+                }
+                slots[i].index =
+                    sim::index_executable(lifted.value(), canon);
             }
             slots[i].ok = true;
-            slots[i].lifted = std::move(result).take();
-            slots[i].index =
-                sim::index_executable(slots[i].lifted, canon);
             if (store != nullptr) {
                 if (auto written = store->store(key, slots[i].index);
                     written.ok()) {
@@ -735,9 +732,6 @@ Driver::index_many(const std::vector<KeyedExe> &work, unsigned threads)
         if (slots[i].from_resident) {
             index_cache_.emplace(key, std::move(slots[i].resident));
             continue;
-        }
-        if (!slots[i].from_cache) {
-            lift_cache_.emplace(key, std::move(slots[i].lifted));
         }
         auto index = std::make_shared<const sim::ExecutableIndex>(
             std::move(slots[i].index));

@@ -14,6 +14,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -237,9 +238,10 @@ class Driver
                       const std::string &version, isa::Arch arch);
 
     /**
-     * Lift + index a target executable. Results are cached by content,
+     * Lift + index a target executable. The index is cached by content,
      * so byte-identical executables re-shipped across firmware versions
-     * are only processed once (paper section 5.2 observation).
+     * are only processed once (paper section 5.2 observation); the
+     * lifted µIR is dropped as soon as the index is built.
      *
      * Untrusted input: returns nullptr when the executable cannot be
      * lifted — the executable is quarantined (recorded in health() with
@@ -250,8 +252,10 @@ class Driver
         const loader::Executable &exe);
 
     /**
-     * Structural (BinDiff) index of a target, cached likewise; nullptr
-     * when the executable is quarantined.
+     * Structural (BinDiff) index of a target, cached by content. Only
+     * the graph is kept: the first call per content key lifts the
+     * executable again, even when index_target already indexed it.
+     * nullptr when the executable is quarantined.
      */
     const baseline::GraphIndex *graph_target(
         const loader::Executable &exe);
@@ -320,7 +324,7 @@ class Driver
      * is indexed exactly once (warm FWIX load or cold lift), per-ISA
      * queries are built once per CVE, and the games fan out over
      * (query, target) work items on a work-stealing scheduler
-     * (support/threadpool.h) ordered target-major: every query's game
+     * (support/scheduler.h) ordered target-major: every query's game
      * against a target runs back-to-back while that target's index is
      * hot, in contiguous chunks sized to actually fill cores instead of
      * drowning warm-cache games in per-task scheduling overhead.
@@ -366,13 +370,12 @@ class Driver
     std::map<std::uint64_t, std::shared_ptr<const sim::ExecutableIndex>>
         index_cache_;
     std::map<std::uint64_t, baseline::GraphIndex> graph_cache_;
-    std::map<std::uint64_t, lifter::LiftedExecutable> lift_cache_;
     /** Content keys of executables that failed to lift. */
     std::set<std::uint64_t> quarantined_;
     /**
      * Content keys already counted in executables_seen/lifted_ok, so an
-     * executable served warm from the persistent store and later lifted
-     * on demand (e.g. for graph_target) is not double-counted.
+     * executable that is indexed (warm from a store or cold) and lifted
+     * again for graph_target is counted once.
      */
     std::set<std::uint64_t> health_counted_;
     /** Lazily-opened persistent store (options_.index_cache_dir). */
@@ -498,7 +501,12 @@ class Driver
      */
     void journal_append(const JournalEntry &entry);
 
-    const lifter::LiftedExecutable *lift_cached(
+    /**
+     * Lift @p exe (content key @p key) and keep nothing. A failed lift
+     * quarantines the key; a quarantined key returns std::nullopt
+     * without another attempt. Health counts each key once.
+     */
+    std::optional<lifter::LiftedExecutable> lift_target(
         const loader::Executable &exe, std::uint64_t key);
 
     /**

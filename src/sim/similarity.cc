@@ -13,7 +13,7 @@
 #include <arm_neon.h>
 #endif
 
-#include "support/threadpool.h"
+#include "support/scheduler.h"
 #include "support/trace.h"
 
 namespace firmup::sim {
@@ -476,16 +476,12 @@ index_executable(const lifter::LiftedExecutable &lifted,
     };
     // Procedures are independent units of work; each writes only its
     // own pre-sized slot, so any schedule yields the same index. Small
-    // executables (fuzz mutants, single-proc fixtures) stay inline —
-    // a pool costs more than it saves there.
+    // executables (fuzz mutants, single-proc fixtures) stay inline on
+    // the caller — spawning workers costs more than it saves there.
     constexpr std::size_t kParallelThreshold = 4;
-    if (threads > 1 && order.size() >= kParallelThreshold) {
-        ThreadPool::parallel_for(threads, order.size(), represent_slot);
-    } else {
-        for (std::size_t slot = 0; slot < order.size(); ++slot) {
-            represent_slot(slot);
-        }
-    }
+    WorkStealingScheduler::run(
+        order.size() >= kParallelThreshold ? threads : 1, order.size(),
+        represent_slot);
     index.finalize();
     return index;
 }

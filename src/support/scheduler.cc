@@ -1,8 +1,12 @@
-#include "support/threadpool.h"
+#include "support/scheduler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
-#include <utility>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "support/trace.h"
 
@@ -10,134 +14,11 @@ namespace firmup {
 
 namespace {
 
-const trace::Counter c_tasks_queued("threadpool.tasks_queued");
-const trace::Counter c_tasks_run("threadpool.tasks_run");
-const trace::Counter c_pools("threadpool.pools_created");
-const trace::Histogram h_idle_ns("threadpool.worker_idle_ns");
-
 const trace::Counter c_ws_runs("worksteal.runs");
 const trace::Counter c_ws_chunks("worksteal.chunks_dealt");
 const trace::Counter c_ws_steals("worksteal.steals");
 
 }  // namespace
-
-ThreadPool::ThreadPool(unsigned num_threads)
-{
-    c_pools.add();
-    const unsigned n = std::max(1u, num_threads);
-    threads_.reserve(n);
-    for (unsigned i = 0; i < n; ++i) {
-        threads_.emplace_back([this] { worker(); });
-    }
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    work_available_.notify_all();
-    for (std::thread &t : threads_) {
-        t.join();
-    }
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    c_tasks_queued.add();
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        queue_.push(std::move(task));
-    }
-    work_available_.notify_one();
-}
-
-void
-ThreadPool::wait_idle()
-{
-    std::exception_ptr error;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        idle_.wait(lock,
-                   [this] { return queue_.empty() && in_flight_ == 0; });
-        error = std::exchange(first_error_, nullptr);
-    }
-    if (error) {
-        std::rethrow_exception(error);
-    }
-}
-
-void
-ThreadPool::worker()
-{
-    while (true) {
-        std::function<void()> task;
-        // Idle accounting: wall time from "ready for work" to "got a
-        // task" (or shutdown), observed per wait when metrics are on.
-        const bool metered = trace::level() != trace::Level::Off;
-        const std::uint64_t idle_start = metered ? trace::wall_ns() : 0;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            work_available_.wait(
-                lock, [this] { return stopping_ || !queue_.empty(); });
-            if (metered) {
-                h_idle_ns.observe(trace::wall_ns() - idle_start);
-            }
-            if (queue_.empty()) {
-                return;  // stopping and drained
-            }
-            task = std::move(queue_.front());
-            queue_.pop();
-            ++in_flight_;
-        }
-        try {
-            task();
-            c_tasks_run.add();
-        } catch (...) {
-            cancelled_.store(true);
-            std::unique_lock<std::mutex> lock(mutex_);
-            if (!first_error_) {
-                first_error_ = std::current_exception();
-            }
-        }
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            --in_flight_;
-            if (queue_.empty() && in_flight_ == 0) {
-                idle_.notify_all();
-            }
-        }
-    }
-}
-
-void
-ThreadPool::parallel_for(unsigned num_threads, std::size_t count,
-                         const std::function<void(std::size_t)> &fn)
-{
-    if (count == 0) {
-        return;
-    }
-    ThreadPool pool(num_threads);
-    std::atomic<std::size_t> next{0};
-    for (std::size_t t = 0; t < std::max<std::size_t>(1, num_threads);
-         ++t) {
-        pool.submit([&pool, &next, count, &fn] {
-            // After a sibling throws, abandon the remaining indices so
-            // the caller sees the failure promptly instead of paying for
-            // the rest of the sweep.
-            while (!pool.cancelled()) {
-                const std::size_t i = next.fetch_add(1);
-                if (i >= count) {
-                    return;
-                }
-                fn(i);
-            }
-        });
-    }
-    pool.wait_idle();
-}
 
 std::size_t
 WorkStealingScheduler::chunk_for(std::size_t count, unsigned threads)

@@ -255,6 +255,65 @@ TEST(Driver, PreindexMatchesSequentialIndexing)
     EXPECT_EQ(parallel.health().quarantined, 0u);
 }
 
+void
+expect_same_graph(const baseline::GraphIndex &got,
+                  const baseline::GraphIndex &want)
+{
+    EXPECT_EQ(got.name, want.name);
+    EXPECT_EQ(got.by_entry, want.by_entry);
+    ASSERT_EQ(got.procs.size(), want.procs.size()) << want.name;
+    for (std::size_t i = 0; i < want.procs.size(); ++i) {
+        const baseline::GraphFeatures &a = got.procs[i];
+        const baseline::GraphFeatures &b = want.procs[i];
+        EXPECT_EQ(a.entry, b.entry);
+        EXPECT_EQ(a.name, b.name);
+        EXPECT_EQ(a.blocks, b.blocks);
+        EXPECT_EQ(a.edges, b.edges);
+        EXPECT_EQ(a.calls, b.calls);
+        EXPECT_EQ(a.insts, b.insts);
+        EXPECT_EQ(a.shape_hash, b.shape_hash);
+        EXPECT_EQ(a.callees, b.callees);
+    }
+}
+
+TEST(Driver, GraphTargetLiftsOnDemandAfterPreindex)
+{
+    // preindex keeps indexes only; graph_target lifts again on its
+    // first call per executable and keeps only the graph. Neither the
+    // graphs nor the health record may tell the two paths apart.
+    firmware::CorpusOptions corpus_options;
+    corpus_options.num_devices = 2;
+    firmware::Corpus corpus = firmware::build_corpus(corpus_options);
+    loader::Executable corrupt = corpus.images[0].executables[0];
+    corrupt.name = "corrupt.bin";
+    std::fill(corrupt.text.begin(), corrupt.text.end(),
+              std::uint8_t{0xff});  // undecodable on every ISA
+    corpus.images[0].executables.push_back(corrupt);
+
+    Driver driver;
+    EXPECT_GT(driver.preindex(corpus, 2), 0u);
+    const ScanHealth before = driver.health();
+    EXPECT_EQ(before.quarantined, 1u);
+
+    for (const CorpusTarget &target : corpus_targets(corpus)) {
+        const loader::Executable &exe = *target.exe;
+        const baseline::GraphIndex *graph = driver.graph_target(exe);
+        if (exe.name == "corrupt.bin") {
+            EXPECT_EQ(graph, nullptr);
+            continue;
+        }
+        ASSERT_NE(graph, nullptr) << exe.name;
+        expect_same_graph(
+            *graph,
+            baseline::graph_index(lifter::lift_executable(exe).take()));
+        EXPECT_EQ(driver.graph_target(exe), graph) << exe.name;
+    }
+    EXPECT_EQ(driver.health().executables_seen, before.executables_seen);
+    EXPECT_EQ(driver.health().lifted_ok, before.lifted_ok);
+    EXPECT_EQ(driver.health().quarantined, 1u);
+    EXPECT_TRUE(driver.health().sane());
+}
+
 TEST(Driver, CorruptedExecutableIsQuarantinedScanContinues)
 {
     // A corpus-like scan where one member's text is garbage: the scan

@@ -1,20 +1,26 @@
 /**
  * @file
- * Unit tests for the support substrate: hashing, RNG, strings, results.
+ * Unit tests for the support substrate: hashing, RNG, strings, results,
+ * the work-stealing scheduler and cancellation.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "support/cancel.h"
 #include "support/error.h"
 #include "support/hash.h"
 #include "support/retry.h"
 #include "support/rng.h"
+#include "support/scheduler.h"
 #include "support/str.h"
-#include "support/threadpool.h"
 
 namespace firmup {
 namespace {
@@ -193,89 +199,100 @@ TEST(Result, ValueAndError)
 namespace firmup {
 namespace {
 
-TEST(ThreadPool, RunsAllTasks)
+TEST(WorkStealingScheduler, EveryIndexRunsExactlyOnce)
 {
-    std::atomic<int> counter{0};
-    {
-        ThreadPool pool(4);
-        for (int i = 0; i < 100; ++i) {
-            pool.submit([&counter] { ++counter; });
+    // 257 items spread over several chunks per worker; 3 items on 4
+    // threads leave a worker with nothing to do.
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        for (const std::size_t count : {std::size_t{257}, std::size_t{3},
+                                        std::size_t{1}}) {
+            std::vector<std::atomic<int>> hits(count);
+            WorkStealingScheduler::run(
+                threads, count, [&hits](std::size_t i) { ++hits[i]; });
+            for (std::size_t i = 0; i < count; ++i) {
+                EXPECT_EQ(hits[i].load(), 1)
+                    << "threads " << threads << " count " << count
+                    << " index " << i;
+            }
         }
-        pool.wait_idle();
-        EXPECT_EQ(counter.load(), 100);
     }
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndex)
+TEST(WorkStealingScheduler, ZeroWorkIsFine)
 {
-    std::vector<std::atomic<int>> hits(257);
-    ThreadPool::parallel_for(3, hits.size(), [&hits](std::size_t i) {
-        ++hits[i];
-    });
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << i;
-    }
+    WorkStealingScheduler::run(4, 0, [](std::size_t) { FAIL(); });
+    WorkStealingScheduler::run(1, 0, [](std::size_t) { FAIL(); });
 }
 
-TEST(ThreadPool, ZeroWorkIsFine)
+TEST(WorkStealingScheduler, RunPropagatesException)
 {
-    ThreadPool::parallel_for(4, 0, [](std::size_t) { FAIL(); });
-    ThreadPool pool(1);
-    pool.wait_idle();
-}
-
-TEST(ThreadPool, DestructionDrainsQueue)
-{
-    std::atomic<int> counter{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 50; ++i) {
-            pool.submit([&counter] { ++counter; });
+    for (const unsigned threads : {1u, 4u}) {
+        try {
+            WorkStealingScheduler::run(threads, 10000, [](std::size_t i) {
+                if (i == 17) {
+                    throw std::runtime_error("index 17 is cursed");
+                }
+            });
+            FAIL() << "run swallowed the worker exception";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "index 17 is cursed");
         }
-        // No wait_idle: the destructor must drain before joining.
     }
-    EXPECT_EQ(counter.load(), 50);
 }
 
-TEST(ThreadPool, WaitIdleRethrowsFirstWorkerException)
+TEST(WorkStealingScheduler, ThrowAbandonsRemainingItems)
 {
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("task failed"); });
-    EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-    EXPECT_TRUE(pool.cancelled());
-    // The exception is delivered once; a second wait is clean.
-    pool.wait_idle();
-}
+    // One worker: the sweep stops at the throwing index.
+    std::vector<std::size_t> ran;
+    EXPECT_THROW(WorkStealingScheduler::run(1, 100,
+                                            [&ran](std::size_t i) {
+                                                ran.push_back(i);
+                                                if (i == 17) {
+                                                    throw std::runtime_error(
+                                                        "stop");
+                                                }
+                                            }),
+                 std::runtime_error);
+    EXPECT_EQ(ran.size(), 18u);
+    EXPECT_EQ(ran.back(), 17u);
 
-TEST(ThreadPool, ParallelForPropagatesException)
-{
+    // Four workers: the first item to run throws; every other item
+    // takes 200 us. Without cancellation all 4000 would run (about
+    // 200 ms); with it, only the items already in flight finish.
+    constexpr std::size_t kCount = 4000;
+    std::atomic<bool> thrown{false};
+    std::atomic<std::size_t> completed{0};
     try {
-        ThreadPool::parallel_for(4, 10000, [](std::size_t i) {
-            if (i == 17) {
-                throw std::runtime_error("index 17 is cursed");
+        WorkStealingScheduler::run(4, kCount, [&](std::size_t i) {
+            if (!thrown.exchange(true)) {
+                throw std::runtime_error("first item " +
+                                         std::to_string(i));
             }
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            ++completed;
         });
-        FAIL() << "parallel_for swallowed the worker exception";
+        FAIL() << "run swallowed the worker exception";
     } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "index 17 is cursed");
+        EXPECT_EQ(std::string(e.what()).rfind("first item ", 0), 0u);
     }
+    EXPECT_LT(completed.load(), kCount / 4);
 }
 
-TEST(ThreadPool, ExceptionDoesNotLoseOtherTasks)
+TEST(WorkStealingScheduler, ChunkStaysWithinBounds)
 {
-    std::atomic<int> counter{0};
-    ThreadPool pool(4);
-    for (int i = 0; i < 32; ++i) {
-        pool.submit([&counter, i] {
-            if (i == 5) {
-                throw std::runtime_error("boom");
-            }
-            ++counter;
-        });
+    for (const unsigned threads : {0u, 1u, 2u, 4u, 72u, 1024u}) {
+        for (const std::size_t count :
+             {std::size_t{0}, std::size_t{1}, std::size_t{7},
+              std::size_t{64}, std::size_t{1000}, std::size_t{1} << 20,
+              std::numeric_limits<std::size_t>::max()}) {
+            const std::size_t chunk =
+                WorkStealingScheduler::chunk_for(count, threads);
+            EXPECT_GE(chunk, 1u) << threads << " " << count;
+            EXPECT_LE(chunk, 64u) << threads << " " << count;
+        }
     }
-    EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-    // submit()ed tasks are independent: all non-throwing ones ran.
-    EXPECT_EQ(counter.load(), 31);
+    // About eight chunks per worker between the clamps.
+    EXPECT_EQ(WorkStealingScheduler::chunk_for(320, 4), 10u);
 }
 
 TEST(Cancel, TokenIsStickyAndResettable)

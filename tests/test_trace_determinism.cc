@@ -141,7 +141,7 @@ TEST(TraceDeterminism, SearchCorpusStatsIdenticalAcrossThreadCounts)
 TEST(TraceDeterminism, ParallelCanonFanOutIsThreadInvariant)
 {
     // The intra-executable canon fan-out (index_executable's per-proc
-    // parallel_for) must be invisible: identical index contents and
+    // scheduler run) must be invisible: identical index contents and
     // identical canon.* counters at every width.
     trace::set_level(trace::Level::Metrics);
 

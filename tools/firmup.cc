@@ -66,6 +66,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -223,6 +224,22 @@ parse_u64(const std::string &text, std::uint64_t &out)
     } catch (const std::exception &) {
         return false;
     }
+}
+
+/**
+ * A size in MiB whose byte count fits size_t; a larger value would wrap
+ * to a small budget when it is scaled to bytes.
+ */
+bool
+parse_megabytes(const std::string &text, std::size_t &out)
+{
+    std::uint64_t mb = 0;
+    if (!parse_u64(text, mb) ||
+        mb > std::numeric_limits<std::size_t>::max() / (1024 * 1024)) {
+        return false;
+    }
+    out = static_cast<std::size_t>(mb);
+    return true;
 }
 
 bool
@@ -938,10 +955,9 @@ cmd_worker(const std::vector<std::string> &args)
             wopt.index_cache_dir = args[++i];
         } else if (args[i] == "--resident-cache-mb" &&
                    i + 1 < args.size()) {
-            if (!parse_u64(args[++i], u)) {
+            if (!parse_megabytes(args[++i], wopt.resident_cache_mb)) {
                 return usage();
             }
-            wopt.resident_cache_mb = static_cast<std::size_t>(u);
         } else if (args[i] == "--no-confirm") {
             wopt.confirm = false;
         } else if (args[i] == "--exit-after" && i + 1 < args.size()) {
@@ -994,10 +1010,9 @@ cmd_shard_scan(const std::vector<std::string> &args)
             sopt.index_cache_dir = args[++i];
         } else if (args[i] == "--resident-cache-mb" &&
                    i + 1 < args.size()) {
-            if (!parse_u64(args[++i], u)) {
+            if (!parse_megabytes(args[++i], sopt.resident_cache_mb)) {
                 return usage();
             }
-            sopt.resident_cache_mb = static_cast<std::size_t>(u);
         } else if (args[i] == "--heartbeat" && i + 1 < args.size()) {
             if (!parse_double(args[++i], sopt.heartbeat_seconds) ||
                 sopt.heartbeat_seconds <= 0.0) {
